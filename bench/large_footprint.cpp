@@ -66,13 +66,14 @@ using rader::shadow::SlotEncoding;
 
 // ---- 1. Checkpointed sweep + steady-state sweep ----------------------------
 
-// The detectors' access shape: check both fields, record one — alternating
-// reads and writes so BOTH logical spaces populate (one packed slot; two
-// separate legacy pages).
+// The detectors' access shape: read both fields at once, record one —
+// alternating reads and writes so BOTH logical spaces populate (one packed
+// slot; two separate legacy pages).
 inline void detector_shaped_op(AccessShadow& s, std::uintptr_t g,
                                std::uint32_t id) {
-  const bool writer_empty = s.writer(g) == AccessShadow::kEmpty;
-  const bool reader_empty = s.reader(g) == AccessShadow::kEmpty;
+  const auto [reader, writer] = s.fields(g);
+  const bool writer_empty = writer == AccessShadow::kEmpty;
+  const bool reader_empty = reader == AccessShadow::kEmpty;
   if (id & 1) {
     if (reader_empty || !writer_empty) s.set_reader(g, id & 0xFFFF);
   } else {

@@ -1,7 +1,11 @@
 // Microbenchmarks for the shadow spaces: the per-access cost that dominates
-// SP+ on access-dense benchmarks (the paper's fib/knapsack discussion).
+// SP+ on access-dense benchmarks (the paper's fib/knapsack discussion), and
+// the two layers above them: the detectors' access kernel (timed through
+// SP+) and the race log's duplicate-report path.
 #include <benchmark/benchmark.h>
 
+#include "core/race_report.hpp"
+#include "core/spplus.hpp"
 #include "shadow/packed_shadow.hpp"
 #include "shadow/shadow_space.hpp"
 #include "support/rng.hpp"
@@ -128,5 +132,78 @@ void BM_PackedEpochClear(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PackedEpochClear)->Arg(16)->Arg(1024);
+
+// ---- Access kernel and race log (core/access_kernel.hpp) ------------------
+// SP+ is driven through its Tool callbacks with no engine, so only the
+// detector's own per-access work is timed.  Each iteration is one 8-byte
+// access at byte granularity over a 512-byte window.
+
+constexpr std::uintptr_t kWindow = 0x300000;
+
+void BM_SpPlusAccessRaceFree(benchmark::State& state) {
+  // The root strand rewrites its own bytes: every prior is in its S bag.
+  rader::RaceLog log;
+  rader::SpPlusDetector sp(&log);
+  sp.on_run_begin();
+  sp.on_frame_enter(0, rader::kInvalidFrame, rader::FrameKind::kRoot, 0);
+  std::uintptr_t off = 0;
+  for (auto _ : state) {
+    sp.on_access(rader::AccessKind::kWrite, kWindow + off, 8, false, 0,
+                 rader::SrcTag{"write"});
+    off = (off + 8) & 511;
+  }
+  if (log.any()) state.SkipWithError("race-free loop reported a race");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpPlusAccessRaceFree);
+
+void BM_SpPlusAccessRepeatedRace(benchmark::State& state) {
+  // A spawned child wrote the window and returned unsynced, so each root
+  // write races on all 8 bytes with identities already stored: the
+  // race-log hit path, eight times per access.
+  rader::RaceLog log;
+  rader::SpPlusDetector sp(&log);
+  sp.on_run_begin();
+  sp.on_frame_enter(0, rader::kInvalidFrame, rader::FrameKind::kRoot, 0);
+  sp.on_frame_enter(1, 0, rader::FrameKind::kSpawned, 0);
+  sp.on_access(rader::AccessKind::kWrite, kWindow, 512, false, 0,
+               rader::SrcTag{"child write"});
+  sp.on_frame_return(1, 0, rader::FrameKind::kSpawned);
+  for (std::uintptr_t off = 0; off < 512; off += 8) {
+    sp.on_access(rader::AccessKind::kWrite, kWindow + off, 8, false, 0,
+                 rader::SrcTag{"write"});
+  }
+  std::uintptr_t off = 0;
+  for (auto _ : state) {
+    sp.on_access(rader::AccessKind::kWrite, kWindow + off, 8, false, 0,
+                 rader::SrcTag{"write"});
+    off = (off + 8) & 511;
+  }
+  if (log.determinacy_races().size() != 512) {
+    state.SkipWithError("expected one stored identity per byte");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpPlusAccessRepeatedRace);
+
+void BM_RaceLogDuplicateReport(benchmark::State& state) {
+  // 512 stored identities, reported again round-robin.
+  rader::RaceLog log;
+  for (std::uintptr_t a = 0; a < 512; ++a) {
+    log.report_determinacy(kWindow + a, rader::AccessKind::kWrite, false,
+                           true, 1, 0, "write");
+  }
+  std::uintptr_t a = 0;
+  for (auto _ : state) {
+    log.report_determinacy(kWindow + a, rader::AccessKind::kWrite, false,
+                           true, 1, 0, "write");
+    a = (a + 1) & 511;
+  }
+  if (log.determinacy_races().size() != 512) {
+    state.SkipWithError("a duplicate report stored a new identity");
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RaceLogDuplicateReport);
 
 }  // namespace

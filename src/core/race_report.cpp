@@ -4,6 +4,8 @@
 #include <sstream>
 
 #include "support/common.hpp"
+#include "support/hash.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 
 namespace rader {
@@ -18,79 +20,137 @@ void add_spec(std::vector<std::string>& specs, const std::string& spec) {
   specs.push_back(spec);
 }
 
-std::size_t combine(std::size_t seed, std::size_t v) {
-  return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+/// Fold a duplicate report into the stored one with the same identity.
+template <class Race>
+void fold_duplicate(Race& stored, const Race& r) {
+  stored.occurrences += r.occurrences;
+  add_spec(stored.eliciting_specs, r.found_under);
+  for (const auto& s : r.eliciting_specs) add_spec(stored.eliciting_specs, s);
+  if (stored.provenance_json.empty() && !r.provenance_json.empty()) {
+    stored.provenance_json = r.provenance_json;
+    stored.provenance_text = r.provenance_text;
+  }
+}
+
+std::uint64_t label_hash(std::string_view label) {
+  return std::hash<std::string_view>{}(label);
+}
+
+std::uint64_t view_read_hash(ReducerId reducer, std::string_view prior_label,
+                             std::string_view current_label) {
+  return mix64(hash_combine(hash_combine(reducer, label_hash(prior_label)),
+                            label_hash(current_label)));
+}
+
+std::uint64_t determinacy_hash(std::uintptr_t addr, AccessKind kind,
+                               bool view_aware, bool prior_was_write,
+                               std::string_view label) {
+  const std::uint64_t bits = (static_cast<std::uint64_t>(kind) << 2) |
+                             (view_aware ? 2u : 0u) |
+                             (prior_was_write ? 1u : 0u);
+  return mix64(hash_combine(hash_combine(addr, bits), label_hash(label)));
 }
 
 }  // namespace
 
-std::size_t RaceLog::KeyHash::operator()(const ViewReadKey& k) const {
-  std::size_t h = std::hash<ReducerId>{}(k.reducer);
-  h = combine(h, std::hash<std::string>{}(k.prior_label));
-  h = combine(h, std::hash<std::string>{}(k.current_label));
-  return h;
+template <class Same>
+std::uint32_t RaceLog::IdentityIndex::find(std::uint64_t hash,
+                                           const Same& same) const {
+  if (slots_.empty()) return kNone;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.id == kNone) return kNone;
+    if (slot.hash == hash && same(slot.id)) return slot.id;
+  }
 }
 
-std::size_t RaceLog::KeyHash::operator()(const DeterminacyKey& k) const {
-  std::size_t h = std::hash<std::uintptr_t>{}(k.addr);
-  h = combine(h, static_cast<std::size_t>(k.current_kind));
-  h = combine(h, (k.current_view_aware ? 2u : 0u) |
-                     (k.prior_was_write ? 1u : 0u));
-  h = combine(h, std::hash<std::string>{}(k.current_label));
-  return h;
+void RaceLog::IdentityIndex::insert(std::uint64_t hash, std::uint32_t id) {
+  if (2 * (count_ + 1) > slots_.size()) {
+    const std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<std::size_t>(16, 2 * old.size()), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.id != kNone) place(slot);
+    }
+  }
+  place({hash, id});
+  ++count_;
+}
+
+void RaceLog::IdentityIndex::place(Slot slot) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = slot.hash & mask;
+  while (slots_[i].id != kNone) i = (i + 1) & mask;
+  slots_[i] = slot;
+}
+
+void RaceLog::IdentityIndex::clear() {
+  slots_.clear();
+  count_ = 0;
 }
 
 void RaceLog::absorb_view_read(const ViewReadRace& r) {
-  ViewReadKey key{r.reducer, r.prior_label, r.current_label};
-  const auto it = seen_view_reads_.find(key);
-  if (it == seen_view_reads_.end()) {
+  const std::uint64_t hash =
+      view_read_hash(r.reducer, r.prior_label, r.current_label);
+  const std::uint32_t id =
+      view_read_index_.find(hash, [&](std::uint32_t i) {
+        const ViewReadKey& k = view_read_keys_[i];
+        return k.reducer == r.reducer && k.prior_label == r.prior_label &&
+               k.current_label == r.current_label;
+      });
+  if (id == IdentityIndex::kNone) {
     metrics::bump(metrics::Counter::kRacesReported);
-    std::size_t idx = kDropped;
+    view_read_index_.insert(
+        hash, static_cast<std::uint32_t>(view_read_keys_.size()));
+    view_read_keys_.push_back({r.reducer, r.prior_label, r.current_label});
     if (view_read_races_.size() < max_stored_) {
-      idx = view_read_races_.size();
       view_read_races_.push_back(r);
       add_spec(view_read_races_.back().eliciting_specs, r.found_under);
     }
-    seen_view_reads_.emplace(std::move(key), idx);
     return;
   }
   metrics::bump(metrics::Counter::kRacesDeduped);
-  if (it->second == kDropped) return;
-  ViewReadRace& stored = view_read_races_[it->second];
-  stored.occurrences += r.occurrences;
-  add_spec(stored.eliciting_specs, r.found_under);
-  for (const auto& s : r.eliciting_specs) add_spec(stored.eliciting_specs, s);
-  if (stored.provenance_json.empty() && !r.provenance_json.empty()) {
-    stored.provenance_json = r.provenance_json;
-    stored.provenance_text = r.provenance_text;
+  // An id past the stored reports was dropped by the storage cap.
+  if (id < view_read_races_.size()) fold_duplicate(view_read_races_[id], r);
+}
+
+std::uint32_t RaceLog::find_determinacy(std::uint64_t hash,
+                                        std::uintptr_t addr, AccessKind kind,
+                                        bool view_aware, bool prior_was_write,
+                                        std::string_view label) const {
+  return determinacy_index_.find(hash, [&](std::uint32_t i) {
+    const DeterminacyKey& k = determinacy_keys_[i];
+    return k.addr == addr && k.current_kind == kind &&
+           k.current_view_aware == view_aware &&
+           k.prior_was_write == prior_was_write && k.current_label == label;
+  });
+}
+
+void RaceLog::add_determinacy(std::uint64_t hash, const DeterminacyRace& r) {
+  metrics::bump(metrics::Counter::kRacesReported);
+  determinacy_index_.insert(
+      hash, static_cast<std::uint32_t>(determinacy_keys_.size()));
+  determinacy_keys_.push_back({r.addr, r.current_kind, r.current_view_aware,
+                               r.prior_was_write, r.current_label});
+  if (determinacy_races_.size() < max_stored_) {
+    determinacy_races_.push_back(r);
+    add_spec(determinacy_races_.back().eliciting_specs, r.found_under);
   }
 }
 
 void RaceLog::absorb_determinacy(const DeterminacyRace& r) {
-  DeterminacyKey key{r.addr, r.current_kind, r.current_view_aware,
-                     r.prior_was_write, r.current_label};
-  const auto it = seen_determinacy_.find(key);
-  if (it == seen_determinacy_.end()) {
-    metrics::bump(metrics::Counter::kRacesReported);
-    std::size_t idx = kDropped;
-    if (determinacy_races_.size() < max_stored_) {
-      idx = determinacy_races_.size();
-      determinacy_races_.push_back(r);
-      add_spec(determinacy_races_.back().eliciting_specs, r.found_under);
-    }
-    seen_determinacy_.emplace(std::move(key), idx);
+  const std::uint64_t hash =
+      determinacy_hash(r.addr, r.current_kind, r.current_view_aware,
+                       r.prior_was_write, r.current_label);
+  const std::uint32_t id =
+      find_determinacy(hash, r.addr, r.current_kind, r.current_view_aware,
+                       r.prior_was_write, r.current_label);
+  if (id == IdentityIndex::kNone) {
+    add_determinacy(hash, r);
     return;
   }
   metrics::bump(metrics::Counter::kRacesDeduped);
-  if (it->second == kDropped) return;
-  DeterminacyRace& stored = determinacy_races_[it->second];
-  stored.occurrences += r.occurrences;
-  add_spec(stored.eliciting_specs, r.found_under);
-  for (const auto& s : r.eliciting_specs) add_spec(stored.eliciting_specs, s);
-  if (stored.provenance_json.empty() && !r.provenance_json.empty()) {
-    stored.provenance_json = r.provenance_json;
-    stored.provenance_text = r.provenance_text;
-  }
+  if (id < determinacy_races_.size()) fold_duplicate(determinacy_races_[id], r);
 }
 
 void RaceLog::report_view_read(const ViewReadRace& r) {
@@ -101,6 +161,27 @@ void RaceLog::report_view_read(const ViewReadRace& r) {
 void RaceLog::report_determinacy(const DeterminacyRace& r) {
   determinacy_count_ += r.occurrences;
   absorb_determinacy(r);
+}
+
+void RaceLog::report_determinacy(std::uintptr_t addr, AccessKind current_kind,
+                                 bool current_view_aware, bool prior_was_write,
+                                 FrameId prior_frame, FrameId current_frame,
+                                 const char* label) {
+  ++determinacy_count_;
+  const std::string_view text(label);
+  const std::uint64_t hash = determinacy_hash(
+      addr, current_kind, current_view_aware, prior_was_write, text);
+  const std::uint32_t id = find_determinacy(
+      hash, addr, current_kind, current_view_aware, prior_was_write, text);
+  if (id == IdentityIndex::kNone) {
+    add_determinacy(hash, make_determinacy_race(
+                              addr, current_kind, current_view_aware,
+                              prior_was_write, prior_frame, current_frame,
+                              std::string(text)));
+    return;
+  }
+  metrics::bump(metrics::Counter::kRacesDeduped);
+  if (id < determinacy_races_.size()) ++determinacy_races_[id].occurrences;
 }
 
 void RaceLog::merge(const RaceLog& other) {
@@ -198,31 +279,12 @@ std::string RaceLog::to_string() const {
 
 namespace {
 
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void append_json_specs(std::ostringstream& os,
                        const std::vector<std::string>& specs) {
   os << ",\"eliciting_specs\":[";
   for (std::size_t i = 0; i < specs.size(); ++i) {
     if (i != 0) os << ',';
-    append_json_escaped(os, specs[i]);
+    os << json_quoted(specs[i]);
   }
   os << ']';
 }
@@ -240,18 +302,18 @@ std::string RaceLog::to_json() const {
     os << "{\"reducer\":" << r.reducer << ",\"prior_frame\":" << r.prior_frame
        << ",\"current_frame\":" << r.current_frame
        << ",\"occurrences\":" << r.occurrences << ",\"prior_label\":";
-    append_json_escaped(os, r.prior_label);
+    os << json_quoted(r.prior_label);
     os << ",\"current_label\":";
-    append_json_escaped(os, r.current_label);
+    os << json_quoted(r.current_label);
     os << ",\"found_under\":";
-    append_json_escaped(os, r.found_under);
+    os << json_quoted(r.found_under);
     append_json_specs(os, r.eliciting_specs);
     if (!r.provenance_json.empty()) {
       os << ",\"provenance\":" << r.provenance_json;
     }
     if (!r.repro_file.empty()) {
       os << ",\"repro_file\":";
-      append_json_escaped(os, r.repro_file);
+      os << json_quoted(r.repro_file);
     }
     os << '}';
   }
@@ -266,16 +328,16 @@ std::string RaceLog::to_json() const {
        << ",\"prior_frame\":" << r.prior_frame
        << ",\"current_frame\":" << r.current_frame
        << ",\"occurrences\":" << r.occurrences << ",\"label\":";
-    append_json_escaped(os, r.current_label);
+    os << json_quoted(r.current_label);
     os << ",\"found_under\":";
-    append_json_escaped(os, r.found_under);
+    os << json_quoted(r.found_under);
     append_json_specs(os, r.eliciting_specs);
     if (!r.provenance_json.empty()) {
       os << ",\"provenance\":" << r.provenance_json;
     }
     if (!r.repro_file.empty()) {
       os << ",\"repro_file\":";
-      append_json_escaped(os, r.repro_file);
+      os << json_quoted(r.repro_file);
     }
     os << '}';
   }
@@ -288,8 +350,10 @@ void RaceLog::clear() {
   determinacy_count_ = 0;
   view_read_races_.clear();
   determinacy_races_.clear();
-  seen_view_reads_.clear();
-  seen_determinacy_.clear();
+  view_read_keys_.clear();
+  determinacy_keys_.clear();
+  view_read_index_.clear();
+  determinacy_index_.clear();
 }
 
 }  // namespace rader

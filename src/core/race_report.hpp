@@ -17,7 +17,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "runtime/types.hpp"
@@ -103,6 +103,16 @@ class RaceLog {
   void report_view_read(const ViewReadRace& r);
   void report_determinacy(const DeterminacyRace& r);
 
+  /// The detectors' report path: one occurrence of the determinacy race
+  /// with these parts.  Same effect as the struct overload on a report made
+  /// by make_determinacy_race, but a race identity seen before only bumps
+  /// its counts: no allocation, no string.  `label` is caller-owned and
+  /// matched by content.
+  void report_determinacy(std::uintptr_t addr, AccessKind current_kind,
+                          bool current_view_aware, bool prior_was_write,
+                          FrameId prior_frame, FrameId current_frame,
+                          const char* label);
+
   /// Merge another log into this one (used when checking a program under
   /// many steal specifications).  Stored reports deduplicate by race
   /// identity; a duplicate's eliciting specs are unioned into the stored
@@ -170,7 +180,6 @@ class RaceLog {
     ReducerId reducer;
     std::string prior_label;
     std::string current_label;
-    bool operator==(const ViewReadKey&) const = default;
   };
   struct DeterminacyKey {
     std::uintptr_t addr;
@@ -178,30 +187,57 @@ class RaceLog {
     bool current_view_aware;
     bool prior_was_write;
     std::string current_label;
-    bool operator==(const DeterminacyKey&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const ViewReadKey& k) const;
-    std::size_t operator()(const DeterminacyKey& k) const;
   };
 
-  // Sentinel index: race identity seen but its report was dropped by the
-  // storage cap (occurrences for it still tally in the global counters).
-  static constexpr std::size_t kDropped = static_cast<std::size_t>(-1);
+  /// Open-addressed (linear probing) index from a key hash to an identity
+  /// id.  Ids number a kind's identities in first-seen order; the keys
+  /// themselves live in the *_keys_ vectors, so equality is the caller's.
+  class IdentityIndex {
+   public:
+    static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+    /// Id of the identity with hash `hash` for which `same(id)` holds, or
+    /// kNone.
+    template <class Same>
+    std::uint32_t find(std::uint64_t hash, const Same& same) const;
+    void insert(std::uint64_t hash, std::uint32_t id);
+    void clear();
+
+   private:
+    struct Slot {
+      std::uint64_t hash = 0;
+      std::uint32_t id = kNone;
+    };
+    void place(Slot slot);
+    std::vector<Slot> slots_;  // power-of-two size, at most half full
+    std::size_t count_ = 0;
+  };
+
+  /// Id of a determinacy identity, or kNone.
+  std::uint32_t find_determinacy(std::uint64_t hash, std::uintptr_t addr,
+                                 AccessKind kind, bool view_aware,
+                                 bool prior_was_write,
+                                 std::string_view label) const;
 
   /// Store `r` or fold it into the stored report with the same identity.
   /// Does NOT touch the occurrence counters (callers differ: a detector
   /// report adds `r.occurrences`; a merge adds the whole other log's total).
   void absorb_view_read(const ViewReadRace& r);
   void absorb_determinacy(const DeterminacyRace& r);
+  /// Record `r` as the new identity with hash `hash` (stored if under the
+  /// cap; identity id == stored index for every stored report).
+  void add_determinacy(std::uint64_t hash, const DeterminacyRace& r);
 
   std::size_t max_stored_;
   std::uint64_t view_read_count_ = 0;
   std::uint64_t determinacy_count_ = 0;
   std::vector<ViewReadRace> view_read_races_;
   std::vector<DeterminacyRace> determinacy_races_;
-  std::unordered_map<ViewReadKey, std::size_t, KeyHash> seen_view_reads_;
-  std::unordered_map<DeterminacyKey, std::size_t, KeyHash> seen_determinacy_;
+  // Identities seen, stored or not: ids index these, and an id below the
+  // stored count is also the stored report's index.
+  std::vector<ViewReadKey> view_read_keys_;
+  std::vector<DeterminacyKey> determinacy_keys_;
+  IdentityIndex view_read_index_;
+  IdentityIndex determinacy_index_;
 };
 
 }  // namespace rader

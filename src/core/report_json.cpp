@@ -3,28 +3,11 @@
 #include <algorithm>
 #include <sstream>
 
+#include "support/json.hpp"
+
 namespace rader {
 
 namespace {
-
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u00" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 void add_handle(std::vector<std::string>& handles, const std::string& h) {
   if (h.empty()) return;
@@ -48,12 +31,12 @@ std::string report_json(const ReportMeta& meta, const RaceLog& log,
   std::ostringstream os;
   os << "{\"schema\":\"" << kReportSchemaName
      << "\",\"schema_version\":" << kReportSchemaVersion << ",\"program\":";
-  append_escaped(os, meta.program);
+  os << json_quoted(meta.program);
   os << ",\"check\":";
-  append_escaped(os, meta.check);
+  os << json_quoted(meta.check);
   if (!meta.spec.empty()) {
     os << ",\"spec\":";
-    append_escaped(os, meta.spec);
+    os << json_quoted(meta.spec);
   }
   if (meta.has_sweep) {
     os << ",\"sweep\":{\"jobs\":" << meta.jobs << ",\"budget\":" << meta.budget
@@ -65,12 +48,12 @@ std::string report_json(const ReportMeta& meta, const RaceLog& log,
       const SweepFailure& f = meta.failures[i];
       if (i != 0) os << ',';
       os << "{\"spec\":";
-      append_escaped(os, f.spec);
+      os << json_quoted(f.spec);
       os << ",\"index\":" << f.index << ",\"cause\":";
-      append_escaped(os, f.cause);
+      os << json_quoted(f.cause);
       os << ",\"signal\":" << f.signal << ",\"retries\":" << f.retries
          << ",\"postmortem\":";
-      append_escaped(os, f.postmortem);
+      os << json_quoted(f.postmortem);
       os << '}';
     }
     os << "]}";
@@ -80,7 +63,7 @@ std::string report_json(const ReportMeta& meta, const RaceLog& log,
   const auto handles = replay_handles(log);
   for (std::size_t i = 0; i < handles.size(); ++i) {
     if (i != 0) os << ',';
-    append_escaped(os, handles[i]);
+    os << json_quoted(handles[i]);
   }
   os << ']';
   if (metrics_snapshot != nullptr) {

@@ -1,9 +1,7 @@
 #include "core/spbags.hpp"
 
-#include <algorithm>
-
+#include "core/access_kernel.hpp"
 #include "support/metrics.hpp"
-#include "support/trace.hpp"
 
 namespace rader {
 
@@ -61,74 +59,22 @@ void SpBagsDetector::on_sync(FrameId) {
 }
 
 void SpBagsDetector::on_clear(std::uintptr_t addr, std::size_t size) {
-  if (size == 0) return;
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    shadow_.clear_granule(g);
-    if (g == last) break;
-  }
+  detect_clear(shadow_, granule_bits_, addr, size);
 }
 
 void SpBagsDetector::on_access(AccessKind kind, std::uintptr_t addr,
                                std::size_t size, bool, ViewId, SrcTag tag) {
-  FrameState& f = stack_.back();
-  if (size == 0) return;
-  metrics::bump(metrics::Counter::kAccessesInstrumented);
-  metrics::record(metrics::Histogram::kAccessBytes, size);
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    // Reported address: the first byte of THIS access within granule g (==
-    // the byte itself when granule_bits=0).  Reporting the granule base
-    // would collapse distinct races within one granule to one frame-free
-    // dedup identity in core/race_report.
-    const std::uintptr_t b = std::max(addr, g << granule_bits_);
-    // Extent recorded alongside the id (diagnostic; reports use `b`).
-    const unsigned off = static_cast<unsigned>(b - (g << granule_bits_));
-    const auto w = shadow_.writer(g);
-    const bool writer_parallel =
-        w != shadow::AccessShadow::kEmpty &&
-        ds_.meta_of(w).kind == dsu::BagKind::kP;
-    if (kind == AccessKind::kRead) {
-      if (writer_parallel) {
-        trace::emit_conflict(static_cast<FrameId>(f.node), g, b, w,
-                             trace::kConflictPriorWrite, tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, true, w, static_cast<FrameId>(f.node), tag.label));
-      }
-      const auto r = shadow_.reader(g);
-      if (r == shadow::AccessShadow::kEmpty ||
-          ds_.meta_of(r).kind == dsu::BagKind::kS) {
-        shadow_.set_reader(g, f.node, off);
-      }
-    } else {
-      const auto r = shadow_.reader(g);
-      if (r != shadow::AccessShadow::kEmpty &&
-          ds_.meta_of(r).kind == dsu::BagKind::kP) {
-        trace::emit_conflict(static_cast<FrameId>(f.node), g, b, r,
-                             trace::kConflictWrite, tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, false, r, static_cast<FrameId>(f.node), tag.label));
-      }
-      if (writer_parallel) {
-        trace::emit_conflict(static_cast<FrameId>(f.node), g, b, w,
-                             trace::kConflictWrite | trace::kConflictPriorWrite,
-                             tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, false, true, w, static_cast<FrameId>(f.node), tag.label));
-      }
-      if (w == shadow::AccessShadow::kEmpty ||
-          ds_.meta_of(w).kind == dsu::BagKind::kS) {
-        shadow_.set_writer(g, f.node, off);
-      }
-    }
-    if (g == last) break;
-  }
+  const dsu::Node node = stack_.back().node;
+  // A prior access races iff it sits in a P bag; one in an S bag is
+  // replaced.
+  const auto resolve = [this](shadow::AccessShadow::Payload prior) {
+    const dsu::BagKind bag = ds_.meta_of(prior).kind;
+    return PriorFacts{bag == dsu::BagKind::kP, bag == dsu::BagKind::kS,
+                      static_cast<FrameId>(prior)};
+  };
+  detect_access(AccessPolicy{node, static_cast<FrameId>(node), resolve},
+                shadow_, *log_, granule_bits_, kind, addr, size,
+                /*view_aware=*/false, tag.label);
 }
 
 }  // namespace rader

@@ -1,9 +1,7 @@
 #include "core/spplus.hpp"
 
-#include <algorithm>
-
+#include "core/access_kernel.hpp"
 #include "support/metrics.hpp"
-#include "support/trace.hpp"
 
 namespace rader {
 
@@ -91,115 +89,31 @@ void SpPlusDetector::on_reduce(FrameId, ViewId left_vid, ViewId right_vid) {
   f.p_stack.back().merge_from(popped);
 }
 
-bool SpPlusDetector::prior_races_oblivious(
-    shadow::AccessShadow::Payload prior) {
-  if (prior == shadow::AccessShadow::kEmpty) return false;
-  return ds_.meta_of(prior).kind == dsu::BagKind::kP;
-}
-
-bool SpPlusDetector::prior_races_view_aware(
-    shadow::AccessShadow::Payload prior, dsu::ViewId cur_vid) {
-  if (prior == shadow::AccessShadow::kEmpty) return false;
-  const auto& meta = ds_.meta_of(prior);
-  return meta.kind == dsu::BagKind::kP && meta.vid != cur_vid;
-}
-
 void SpPlusDetector::on_clear(std::uintptr_t addr, std::size_t size) {
-  if (size == 0) return;
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    shadow_.clear_granule(g);
-    if (g == last) break;
-  }
+  detect_clear(shadow_, granule_bits_, addr, size);
 }
 
 void SpPlusDetector::on_access(AccessKind kind, std::uintptr_t addr,
                                std::size_t size, bool view_aware, ViewId,
                                SrcTag tag) {
-  FrameState& f = stack_.back();
+  const FrameState& f = stack_.back();
   const dsu::ViewId cur_vid = f.p_stack.back().vid();
   const bool in_reduce = f.is_reduce;
-  const auto fid = static_cast<FrameId>(f.node);
-
-  // Shadow replacement predicate: prior in series (S bag), or — inside a
-  // Reduce invocation — prior on the view being merged (same vid).
-  const auto should_replace = [&](shadow::AccessShadow::Payload prior) {
-    if (prior == shadow::AccessShadow::kEmpty) return true;
+  // Figure 6: a view-oblivious access races with a prior access in any P
+  // bag; a view-aware one only with a prior in a P bag of a DIFFERENT view.
+  // A prior in series (S bag) is replaced, and so, for a view-aware access
+  // inside a Reduce invocation, is a prior on the view being merged (same
+  // vid): the reduce strand serializes after it.
+  const auto resolve = [&](shadow::AccessShadow::Payload prior) {
     const auto& meta = ds_.meta_of(prior);
-    if (meta.kind == dsu::BagKind::kS) return true;
-    return in_reduce && meta.vid == cur_vid;
+    const bool same_view = view_aware && meta.vid == cur_vid;
+    return PriorFacts{meta.kind == dsu::BagKind::kP && !same_view,
+                      meta.kind == dsu::BagKind::kS || (in_reduce && same_view),
+                      static_cast<FrameId>(prior)};
   };
-
-  if (size == 0) return;
-  metrics::bump(metrics::Counter::kAccessesInstrumented);
-  metrics::record(metrics::Histogram::kAccessBytes, size);
-  const std::uintptr_t first = addr >> granule_bits_;
-  const std::uintptr_t last = access_last_byte(addr, size) >> granule_bits_;
-  // `last` may be the top granule index; a `g <= last` condition would wrap
-  // g past it and never terminate, so break after processing `last`.
-  for (std::uintptr_t g = first;; ++g) {
-    // Reported address: the first byte of THIS access within granule g (==
-    // the byte itself when granule_bits=0), so distinct races inside one
-    // granule keep distinct dedup identities.
-    const std::uintptr_t b = std::max(addr, g << granule_bits_);
-    // Extent recorded alongside the id (diagnostic; reports use `b`).
-    const unsigned off = static_cast<unsigned>(b - (g << granule_bits_));
-    const auto w = shadow_.writer(g);
-    if (kind == AccessKind::kRead) {
-      const bool races = view_aware ? prior_races_view_aware(w, cur_vid)
-                                    : prior_races_oblivious(w);
-      if (races) {
-        trace::emit_conflict(
-            fid, g, b, w,
-            trace::kConflictPriorWrite |
-                (view_aware ? trace::kConflictViewAware : 0),
-            tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, view_aware, true, w, fid, tag.label));
-      }
-      const auto r = shadow_.reader(g);
-      if (view_aware ? should_replace(r)
-                     : (r == shadow::AccessShadow::kEmpty ||
-                        ds_.meta_of(r).kind == dsu::BagKind::kS)) {
-        shadow_.set_reader(g, f.node, off);
-      }
-    } else {
-      const auto r = shadow_.reader(g);
-      const bool reader_races = view_aware
-                                    ? prior_races_view_aware(r, cur_vid)
-                                    : prior_races_oblivious(r);
-      if (reader_races) {
-        trace::emit_conflict(
-            fid, g, b, r,
-            trace::kConflictWrite |
-                (view_aware ? trace::kConflictViewAware : 0),
-            tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, view_aware, false, r, fid, tag.label));
-      }
-      const bool writer_races = view_aware
-                                    ? prior_races_view_aware(w, cur_vid)
-                                    : prior_races_oblivious(w);
-      if (writer_races) {
-        trace::emit_conflict(
-            fid, g, b, w,
-            trace::kConflictWrite | trace::kConflictPriorWrite |
-                (view_aware ? trace::kConflictViewAware : 0),
-            tag.label);
-        log_->report_determinacy(make_determinacy_race(
-            b, kind, view_aware, true, w, fid, tag.label));
-      }
-      if (view_aware ? should_replace(w)
-                     : (w == shadow::AccessShadow::kEmpty ||
-                        ds_.meta_of(w).kind == dsu::BagKind::kS)) {
-        shadow_.set_writer(g, f.node, off);
-      }
-    }
-    if (g == last) break;
-  }
+  detect_access(AccessPolicy{f.node, static_cast<FrameId>(f.node), resolve},
+                shadow_, *log_, granule_bits_, kind, addr, size, view_aware,
+                tag.label);
 }
 
 }  // namespace rader

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "runtime/types.hpp"
+#include "support/json.hpp"
 
 namespace rader {
 
@@ -40,29 +41,9 @@ const char* reducer_op_name(std::uint8_t aux) {
   return "op";
 }
 
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 std::string escaped(const char* s) {
   std::string out;
-  append_escaped(out, s);
+  append_json_escaped(out, s);
   return out;
 }
 

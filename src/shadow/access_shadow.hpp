@@ -59,13 +59,12 @@ class AccessShadow {
 
   SlotEncoding encoding() const { return enc_; }
 
-  Payload reader(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.reader(g)
-                                         : legacy_reader_.get(g);
-  }
-  Payload writer(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.writer(g)
-                                         : legacy_writer_.get(g);
+  /// Reader and writer of granule `g` (kEmpty when unset): one slot load
+  /// under kPacked.
+  using Fields = PackedShadow::Fields;
+  Fields fields(std::uintptr_t g) {
+    if (enc_ == SlotEncoding::kPacked) return packed_.fields(g);
+    return {legacy_reader_.get(g), legacy_writer_.get(g)};
   }
 
   /// `offset` is the first byte of the access within granule `g`;
@@ -83,14 +82,6 @@ class AccessShadow {
     } else {
       legacy_writer_.set(g, v);
     }
-  }
-
-  /// Recorded extents (packed backend only; 0 under kLegacy).
-  unsigned reader_offset(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.reader_offset(g) : 0;
-  }
-  unsigned writer_offset(std::uintptr_t g) {
-    return enc_ == SlotEncoding::kPacked ? packed_.writer_offset(g) : 0;
   }
 
   /// Reset both fields of one granule (the detectors' on_clear path).
@@ -122,9 +113,6 @@ class AccessShadow {
                ? packed_.page_count()
                : legacy_reader_.page_count() + legacy_writer_.page_count();
   }
-
-  /// Packed backend escape hatch for epoch/geometry tests.
-  PackedShadow& packed_for_testing() { return packed_; }
 
  private:
   SlotEncoding enc_;

@@ -88,16 +88,21 @@ class PackedShadow {
   PackedShadow& operator=(PackedShadow&& other) noexcept;
   ~PackedShadow();
 
+  /// Both ids of one granule, each kEmpty when unset.
+  struct Fields {
+    Payload reader;
+    Payload writer;
+  };
+
   /// Reader / writer id recorded for granule `g`, or kEmpty.
-  Payload reader(std::uintptr_t g) {
+  Payload reader(std::uintptr_t g) { return decode(load_slot(g)); }
+  Payload writer(std::uintptr_t g) { return decode(load_slot(g) >> 28); }
+
+  /// Reader and writer of granule `g` from a single slot load (the
+  /// detectors' access kernel reads both per granule).
+  Fields fields(std::uintptr_t g) {
     const std::uint64_t slot = load_slot(g);
-    const Payload field = static_cast<Payload>(slot & kFieldEmpty);
-    return field == kFieldEmpty ? kEmpty : field;
-  }
-  Payload writer(std::uintptr_t g) {
-    const std::uint64_t slot = load_slot(g);
-    const Payload field = static_cast<Payload>((slot >> 28) & kFieldEmpty);
-    return field == kFieldEmpty ? kEmpty : field;
+    return {decode(slot), decode(slot >> 28)};
   }
 
   /// Recorded access extent: first byte of the recorded access within
@@ -211,6 +216,11 @@ class PackedShadow {
   }
   static std::size_t page_index(std::uintptr_t g) {
     return page_key(g) & (kChunkPages - 1);
+  }
+  /// The id in the low 28 bits of `bits`, or kEmpty.
+  static Payload decode(std::uint64_t bits) {
+    const Payload field = static_cast<Payload>(bits & kFieldEmpty);
+    return field == kFieldEmpty ? kEmpty : field;
   }
   static std::uint64_t encode_field(Payload v) {
     if (v == kEmpty) return kFieldEmpty;

@@ -4,8 +4,15 @@
 // ThreadSanitizer-style tradeoff).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/spbags.hpp"
+#include "core/sporder.hpp"
 #include "core/spplus.hpp"
+#include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
 #include "runtime/run.hpp"
 #include "shadow/access_shadow.hpp"
@@ -233,6 +240,148 @@ TEST(Granularity, SpBagsSupportsCoarseModeToo) {
       },
       &detector, &none);
   EXPECT_EQ(log.determinacy_count(), 1u);
+}
+
+// ---- Per-access prior memo ------------------------------------------------
+// The access kernel resolves each distinct prior payload once per access.
+// These programs give the bytes of ONE 8-byte read and ONE 8-byte write
+// different priors -- in series (S bag), parallel (P bags of two different
+// children), and a parallel reader -- so a memo keyed by anything but the
+// payload would misreport some byte.
+
+/// "+OFF KIND pw=0|1 prior=F cur=F 'LABEL' xN" per stored report, with the
+/// address as an offset from `base`.
+std::vector<std::string> report_lines(const RaceLog& log, const void* base) {
+  std::vector<std::string> lines;
+  for (const auto& r : log.determinacy_races()) {
+    std::ostringstream os;
+    os << '+' << r.addr - reinterpret_cast<std::uintptr_t>(base) << ' '
+       << (r.current_kind == AccessKind::kWrite ? "write" : "read")
+       << (r.current_view_aware ? " va" : "") << " pw=" << r.prior_was_write
+       << " prior=" << r.prior_frame << " cur=" << r.current_frame << " '"
+       << r.current_label << "' x" << r.occurrences;
+    lines.push_back(os.str());
+  }
+  return lines;
+}
+
+std::unique_ptr<Tool> make_detector(const std::string& name, RaceLog* log,
+                                    unsigned granule_bits) {
+  if (name == "sp-bags") {
+    return std::make_unique<SpBagsDetector>(log, granule_bits);
+  }
+  if (name == "sp-order") {
+    return std::make_unique<SpOrderDetector>(log, granule_bits);
+  }
+  return std::make_unique<SpPlusDetector>(log, granule_bits);
+}
+
+alignas(8) char g_mixed[8];
+
+// Frames: root 0, called 1, spawned 2 ("A"), 3 ("B"), 4 ("reader").
+void mixed_priors_program() {
+  call([] { shadow_write(&g_mixed[0], 2, SrcTag{"serial write"}); });
+  spawn([] { shadow_write(&g_mixed[2], 2, SrcTag{"write A"}); });
+  spawn([] { shadow_write(&g_mixed[4], 2, SrcTag{"write B"}); });
+  spawn([] { shadow_read(&g_mixed[6], 2, SrcTag{"parallel read"}); });
+  shadow_read(&g_mixed[0], 8, SrcTag{"wide read"});
+  shadow_write(&g_mixed[0], 8, SrcTag{"wide write"});
+  sync();
+}
+
+TEST(AccessMemo, EightByteAccessesOverMixedPriors) {
+  // Bytes 0-1: serial prior (no race, replaced); 2-3 and 4-5: writers of
+  // two different parallel children; 6-7: a parallel reader, which only
+  // the write races with.
+  const std::vector<std::string> exact = {
+      "+2 read pw=1 prior=2 cur=0 'wide read' x1",
+      "+3 read pw=1 prior=2 cur=0 'wide read' x1",
+      "+4 read pw=1 prior=3 cur=0 'wide read' x1",
+      "+5 read pw=1 prior=3 cur=0 'wide read' x1",
+      "+2 write pw=1 prior=2 cur=0 'wide write' x1",
+      "+3 write pw=1 prior=2 cur=0 'wide write' x1",
+      "+4 write pw=1 prior=3 cur=0 'wide write' x1",
+      "+5 write pw=1 prior=3 cur=0 'wide write' x1",
+      "+6 write pw=0 prior=4 cur=0 'wide write' x1",
+      "+7 write pw=0 prior=4 cur=0 'wide write' x1",
+  };
+  // One word cell: A's write stays the recorded writer (B and the reader
+  // race with it and cannot replace it), and the reader stays recorded.
+  const std::vector<std::string> word = {
+      "+4 write pw=1 prior=2 cur=3 'write B' x1",
+      "+6 read pw=1 prior=2 cur=4 'parallel read' x1",
+      "+0 read pw=1 prior=2 cur=0 'wide read' x1",
+      "+0 write pw=0 prior=4 cur=0 'wide write' x1",
+      "+0 write pw=1 prior=2 cur=0 'wide write' x1",
+  };
+  for (const std::string name : {"sp-bags", "sp+", "sp-order"}) {
+    for (const unsigned bits : {0u, 3u}) {
+      RaceLog log;
+      const auto detector = make_detector(name, &log, bits);
+      spec::NoSteal none;
+      run_serial([] { mixed_priors_program(); }, detector.get(), &none);
+      EXPECT_EQ(report_lines(log, g_mixed), bits == 0 ? exact : word)
+          << name << " granule_bits=" << bits;
+    }
+  }
+}
+
+alignas(8) char g_merge[8];
+
+// A view whose `touch` is set makes the Reduce that merges it read and
+// write all of g_merge, view-aware.
+struct TouchView {
+  bool touch = false;
+};
+struct touch_monoid {
+  using value_type = TouchView;
+  static TouchView identity() { return {}; }
+  static void reduce(TouchView&, TouchView& right) {
+    if (!right.touch) return;
+    shadow_read(&g_merge[0], 8, SrcTag{"reduce read"});
+    shadow_write(&g_merge[0], 8, SrcTag{"reduce write"});
+  }
+};
+
+TEST(AccessMemo, ViewAwareReduceStrandOverMixedPriors) {
+  // Under steal-all each continuation gets a new view: child A runs on
+  // view 0, child B on view 1, child C on view 2.  At the sync the Reduce
+  // merging views 1 and 2 touches g_merge with view 1, so B's and C's
+  // writes share its view (no race; replaced), the root's serial write is
+  // in series (no race; replaced), and only A's write, on view 0, races.
+  const auto program = [] {
+    shadow_write(&g_merge[0], 2, SrcTag{"serial write"});
+    reducer<touch_monoid> red;
+    spawn([] { shadow_write(&g_merge[2], 2, SrcTag{"write A"}); });
+    red.update([](TouchView&) {});
+    spawn([] { shadow_write(&g_merge[4], 2, SrcTag{"write B"}); });
+    red.update([](TouchView& view) { view.touch = true; });
+    spawn([] { shadow_write(&g_merge[6], 2, SrcTag{"write C"}); });
+    sync();
+  };
+  // Frames: root 0, A 1, B 2, C 3, the Reduce 4.
+  const std::vector<std::string> exact = {
+      "+2 read va pw=1 prior=1 cur=4 'reduce read' x1",
+      "+3 read va pw=1 prior=1 cur=4 'reduce read' x1",
+      "+2 write va pw=1 prior=1 cur=4 'reduce write' x1",
+      "+3 write va pw=1 prior=1 cur=4 'reduce write' x1",
+  };
+  // One word cell: A replaces the serial write, then B, C (on other views)
+  // and the Reduce all race with A, which stays the recorded writer.
+  const std::vector<std::string> word = {
+      "+4 write pw=1 prior=1 cur=2 'write B' x1",
+      "+6 write pw=1 prior=1 cur=3 'write C' x1",
+      "+0 read va pw=1 prior=1 cur=4 'reduce read' x1",
+      "+0 write va pw=1 prior=1 cur=4 'reduce write' x1",
+  };
+  for (const unsigned bits : {0u, 3u}) {
+    RaceLog log;
+    SpPlusDetector detector(&log, bits);
+    spec::StealAll all;
+    run_serial(program, &detector, &all);
+    EXPECT_EQ(report_lines(log, g_merge), bits == 0 ? exact : word)
+        << "granule_bits=" << bits;
+  }
 }
 
 }  // namespace

@@ -11,9 +11,11 @@
 
 #include "apps/mylist.hpp"
 #include "core/driver.hpp"
+#include "reducers/monoid.hpp"
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
 #include "spec/steal_spec.hpp"
+#include "../test_util.hpp"
 
 namespace rader {
 namespace {
@@ -138,6 +140,28 @@ TEST(Provenance, SerialSpawnRaceHasNoStealOnTheForkPath) {
             std::string::npos);
   EXPECT_NE(r.provenance_json.find("\"oracle\":\"confirmed\""),
             std::string::npos);
+}
+
+TEST(Provenance, ControlCharacterLabelsStayValidJson) {
+  // Under steal-all the update after the spawn creates an identity view in
+  // the racing frame, so the record names it with the update's label.
+  const auto prog = [] {
+    reducer<monoid::op_add<long>> sum;
+    spawn([] { shadow_write(&g_slot, 4, SrcTag{"writer"}); });
+    sum.update([](long& v) { v += 1; }, SrcTag{"update\r\x01\x1f"});
+    shadow_read(&g_slot, 4, SrcTag{"reader"});
+    sync();
+  };
+  spec::StealAll all;
+  RaceLog log = Rader::check_determinacy(prog, all);
+  log.stamp_found_under(all.describe());
+  ASSERT_GT(annotate_provenance(log, prog), 0u);
+  const std::string& record = log.determinacy_races()[0].provenance_json;
+  EXPECT_TRUE(testing::JsonChecker::valid(record)) << record;
+  EXPECT_NE(record.find("\"label\":\"update\\u000d\\u0001\\u001f\""),
+            std::string::npos)
+      << record;
+  EXPECT_TRUE(testing::JsonChecker::valid(log.to_json()));
 }
 
 TEST(Provenance, UnrecognizedHandleAndEmptyLogAreSafe) {

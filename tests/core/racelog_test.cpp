@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/rng.hpp"
+
 namespace rader {
 namespace {
 
@@ -87,6 +89,71 @@ TEST(RaceLog, JsonEscapesLabels) {
   const std::string json = log.to_json();
   EXPECT_NE(json.find("quote\\\" backslash\\\\ newline\\n"),
             std::string::npos);
+}
+
+TEST(RaceLog, PartsAndStructReportsAgreeIncludingPastTheCap) {
+  // The detectors' allocation-free overload and the struct overload share
+  // one identity table: a random stream with many repeats, fed through
+  // each, must give identical logs, also once new identities are dropped
+  // by the storage cap.
+  static const char* const kLabels[] = {"a", "b", "longer label"};
+  RaceLog parts(/*max_stored=*/8);
+  RaceLog structs(/*max_stored=*/8);
+  Rng rng(11);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uintptr_t addr = 0x100 + rng.below(12);
+    const AccessKind kind =
+        rng.below(2) != 0 ? AccessKind::kWrite : AccessKind::kRead;
+    const bool view_aware = rng.below(2) != 0;
+    const bool prior_was_write = rng.below(2) != 0;
+    const auto prior = static_cast<FrameId>(rng.below(50));
+    const auto current = static_cast<FrameId>(rng.below(50));
+    const char* label = kLabels[rng.below(3)];
+    parts.report_determinacy(addr, kind, view_aware, prior_was_write, prior,
+                             current, label);
+    structs.report_determinacy(make_determinacy_race(
+        addr, kind, view_aware, prior_was_write, prior, current, label));
+  }
+  ASSERT_EQ(parts.determinacy_races().size(), 8u);  // the cap was reached
+  EXPECT_EQ(parts.determinacy_count(), 4000u);
+  EXPECT_EQ(parts.determinacy_count(), structs.determinacy_count());
+  EXPECT_EQ(parts.to_json(), structs.to_json());
+
+  // merge() goes through the same table.
+  RaceLog merged_parts(8), merged_structs(8);
+  merged_parts.merge(parts);
+  merged_parts.merge(parts);
+  merged_structs.merge(structs);
+  merged_structs.merge(structs);
+  EXPECT_EQ(merged_parts.determinacy_count(), 8000u);
+  EXPECT_EQ(merged_parts.to_json(), merged_structs.to_json());
+}
+
+TEST(RaceLog, LabelsDedupByContentNotPointer) {
+  char first[] = "same text";
+  char second[] = "same text";  // a distinct buffer, equal content
+  RaceLog log;
+  log.report_determinacy(0x10, AccessKind::kWrite, false, true, 1, 2, first);
+  log.report_determinacy(0x10, AccessKind::kWrite, false, true, 3, 4, second);
+  ASSERT_EQ(log.determinacy_races().size(), 1u);
+  EXPECT_EQ(log.determinacy_races()[0].occurrences, 2u);
+  EXPECT_EQ(log.determinacy_races()[0].prior_frame, 1u);  // first one kept
+  EXPECT_EQ(log.determinacy_count(), 2u);
+
+  // The same buffer with new content is a new identity.
+  first[0] = 'S';
+  log.report_determinacy(0x10, AccessKind::kWrite, false, true, 1, 2, first);
+  ASSERT_EQ(log.determinacy_races().size(), 2u);
+  EXPECT_EQ(log.determinacy_races()[1].current_label, "Same text");
+}
+
+TEST(RaceLog, JsonEscapesControlCharactersWithFourHexDigits) {
+  RaceLog log;
+  log.report_determinacy(0x1, AccessKind::kWrite, false, true, 1, 2,
+                         "a\rb\x01" "c\x1f");
+  EXPECT_NE(log.to_json().find("a\\u000db\\u0001c\\u001f"),
+            std::string::npos)
+      << log.to_json();
 }
 
 TEST(RaceLog, EmptyLogSerializes) {

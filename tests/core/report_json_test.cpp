@@ -9,6 +9,7 @@
 #include "core/driver.hpp"
 #include "runtime/api.hpp"
 #include "spec/steal_spec.hpp"
+#include "../test_util.hpp"
 
 namespace rader {
 namespace {
@@ -19,6 +20,24 @@ void racy_program() {
   spawn([] { shadow_write(&g_slot, 4, SrcTag{"writer"}); });
   shadow_read(&g_slot, 4, SrcTag{"reader"});
   sync();
+}
+
+TEST(ReportJson, ControlCharactersStayValidJson) {
+  // Every control character below 0x10 needs a four-digit \u escape; a
+  // three-digit one ("\u001") is not JSON.
+  RaceLog log;
+  log.report_determinacy(0x10, AccessKind::kRead, false, true, 1, 2,
+                         "ctl\r\x01\x1f");
+  log.stamp_found_under("no-steals");
+  ReportMeta meta;
+  meta.program = "prog\x01";
+  meta.check = "sp+";
+  meta.spec = "no-steals";
+  const std::string json = report_json(meta, log);
+  EXPECT_TRUE(testing::JsonChecker::valid(json)) << json;
+  EXPECT_NE(json.find("\"prog\\u0001\""), std::string::npos) << json;
+  EXPECT_NE(json.find("ctl\\u000d\\u0001\\u001f"), std::string::npos)
+      << json;
 }
 
 TEST(ReportJson, SchemaEnvelopePresent) {

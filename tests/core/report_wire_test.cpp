@@ -12,6 +12,7 @@
 #include "runtime/api.hpp"
 #include "spec/steal_spec.hpp"
 #include "support/metrics.hpp"
+#include "../test_util.hpp"
 
 namespace rader {
 namespace {
@@ -39,6 +40,31 @@ TEST(ReportWire, RaceLogRoundTripsByteIdentical) {
   EXPECT_EQ(restored.to_json(), log.to_json());
   EXPECT_EQ(restored.determinacy_count(), log.determinacy_count());
   EXPECT_EQ(restored.view_read_count(), log.view_read_count());
+}
+
+TEST(ReportWire, ControlCharacterLabelsCrossTheWire) {
+  // Control characters other than \n and \t travel as four-digit \u
+  // escapes; a shorter form would make the parser reject the whole log.
+  const std::string label = "ctl\r\x01\x1f";
+  RaceLog log;
+  log.report_determinacy(0x10, AccessKind::kWrite, false, true, 1, 2,
+                         label.c_str());
+  log.report_view_read(make_view_read_race(3, 1, 2, label, "plain"));
+  log.stamp_found_under("spec\x02");
+  const std::string json = log.to_json();
+  EXPECT_TRUE(testing::JsonChecker::valid(json)) << json;
+  EXPECT_NE(json.find("ctl\\u000d\\u0001\\u001f"), std::string::npos)
+      << json;
+
+  RaceLog restored;
+  std::string error;
+  ASSERT_TRUE(race_log_from_json(json, &restored, &error)) << error;
+  ASSERT_EQ(restored.determinacy_races().size(), 1u);
+  EXPECT_EQ(restored.determinacy_races()[0].current_label, label);
+  EXPECT_EQ(restored.determinacy_races()[0].found_under, "spec\x02");
+  ASSERT_EQ(restored.view_read_races().size(), 1u);
+  EXPECT_EQ(restored.view_read_races()[0].prior_label, label);
+  EXPECT_EQ(restored.to_json(), json);
 }
 
 TEST(ReportWire, RestoredLogMergesLikeTheOriginal) {

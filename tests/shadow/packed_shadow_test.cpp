@@ -242,20 +242,20 @@ TEST(AccessShadow, BothEncodingsAgreeOnTheLogicalInterface) {
   for (const SlotEncoding enc : {SlotEncoding::kPacked,
                                  SlotEncoding::kLegacy}) {
     AccessShadow s(enc);
-    EXPECT_EQ(s.reader(0x100), AccessShadow::kEmpty);
+    EXPECT_EQ(s.fields(0x100).reader, AccessShadow::kEmpty);
     s.set_reader(0x100, 1, 2);
     s.set_writer(0x100, 2, 3);
-    EXPECT_EQ(s.reader(0x100), 1u);
-    EXPECT_EQ(s.writer(0x100), 2u);
+    EXPECT_EQ(s.fields(0x100).reader, 1u);
+    EXPECT_EQ(s.fields(0x100).writer, 2u);
     s.clear_granule(0x100);
-    EXPECT_EQ(s.reader(0x100), AccessShadow::kEmpty);
-    EXPECT_EQ(s.writer(0x100), AccessShadow::kEmpty);
+    EXPECT_EQ(s.fields(0x100).reader, AccessShadow::kEmpty);
+    EXPECT_EQ(s.fields(0x100).writer, AccessShadow::kEmpty);
     s.set_writer(0x200, 7);
     AccessShadow f = s.fork();
     f.set_writer(0x200, 8);
     s.clear();
-    EXPECT_EQ(s.writer(0x200), AccessShadow::kEmpty);
-    EXPECT_EQ(f.writer(0x200), 8u);
+    EXPECT_EQ(s.fields(0x200).writer, AccessShadow::kEmpty);
+    EXPECT_EQ(f.fields(0x200).writer, 8u);
   }
 }
 

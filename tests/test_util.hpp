@@ -1,8 +1,10 @@
 // Shared test helpers: an event-logging Tool and small program builders.
 #pragma once
 
+#include <cctype>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tool/tool.hpp"
@@ -99,6 +101,107 @@ class EventLogTool final : public Tool {
   }
 
   std::vector<std::string> events_;
+};
+
+/// Strict JSON well-formedness check (RFC 8259 grammar; no extensions):
+/// true iff `text` is exactly one JSON value, optionally padded by
+/// whitespace.  Tests use it on every JSON writer's output.
+class JsonChecker {
+ public:
+  static bool valid(std::string_view text) {
+    JsonChecker c(text);
+    return c.value() && (c.ws(), c.p_ == c.end_);
+  }
+
+ private:
+  explicit JsonChecker(std::string_view t)
+      : p_(t.data()), end_(t.data() + t.size()) {}
+
+  void ws() {
+    while (p_ < end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
+                         *p_ == '\r')) {
+      ++p_;
+    }
+  }
+  bool eat(char c) {
+    ws();
+    if (p_ == end_ || *p_ != c) return false;
+    ++p_;
+    return true;
+  }
+  bool literal(std::string_view word) {
+    if (std::string_view(p_, static_cast<std::size_t>(end_ - p_))
+            .substr(0, word.size()) != word) {
+      return false;
+    }
+    p_ += word.size();
+    return true;
+  }
+  bool digits() {
+    const char* start = p_;
+    while (p_ < end_ && *p_ >= '0' && *p_ <= '9') ++p_;
+    return p_ != start;
+  }
+  bool number() {
+    if (p_ < end_ && *p_ == '-') ++p_;
+    if (!digits()) return false;
+    if (p_ < end_ && *p_ == '.' && (++p_, !digits())) return false;
+    if (p_ < end_ && (*p_ == 'e' || *p_ == 'E')) {
+      ++p_;
+      if (p_ < end_ && (*p_ == '+' || *p_ == '-')) ++p_;
+      if (!digits()) return false;
+    }
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (p_ < end_ && *p_ != '"') {
+      const auto c = static_cast<unsigned char>(*p_++);
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (p_ == end_) return false;
+      const char e = *p_++;
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i, ++p_) {
+          if (p_ == end_ || !std::isxdigit(static_cast<unsigned char>(*p_))) {
+            return false;
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                 std::string_view::npos) {
+        return false;
+      }
+    }
+    return p_ < end_ && *p_++ == '"';
+  }
+  template <class Item>
+  bool list(char close, Item item) {
+    if (eat(close)) return true;
+    do {
+      if (!item()) return false;
+    } while (eat(','));
+    return eat(close);
+  }
+  bool value() {
+    ws();
+    if (p_ == end_) return false;
+    switch (*p_) {
+      case '{':
+        ++p_;
+        return list('}', [this] { return string() && eat(':') && value(); });
+      case '[':
+        ++p_;
+        return list(']', [this] { return value(); });
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  const char* p_;
+  const char* end_;
 };
 
 }  // namespace rader::testing
