@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command gate.
 #
-#   scripts/check.sh          fast gate: build, fast-label tests, 60 s fuzz
+#   scripts/check.sh          fast gate: build, fast-label tests, the
+#                             sched-label tests 20x, 60 s fuzz
 #   scripts/check.sh --full   everything: all test labels (fast + slow +
 #                             stress), examples, bench smoke
 #   scripts/check.sh --trace  build + the trace smoke only (exports a
@@ -78,6 +79,10 @@ if [[ "$FULL" == 1 ]]; then
   ctest --test-dir build --output-on-failure
 else
   ctest --test-dir build -L fast --output-on-failure
+  # The thread-spawning slice again, each test until it fails or has passed
+  # 20 times: a returning scheduling flake fails the gate instead of passing
+  # by luck.
+  ctest --test-dir build -L sched --repeat until-fail:20 --output-on-failure
 fi
 
 echo "== json report smoke =="

@@ -6,7 +6,9 @@
 // rader::reducer<Monoid> template (src/reducers) implements this interface.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 
 #include "runtime/types.hpp"
 
@@ -43,6 +45,13 @@ class HyperobjectBase {
 
   /// Source tag used in race reports that mention this reducer.
   virtual SrcTag hyper_tag() const { return SrcTag{"reducer"}; }
+
+  /// Engine-owned registration stamp, `(run id << 32) | slot`: the parallel
+  /// engine finds a reducer's slot here without a lock (sched/
+  /// parallel_engine.cpp).  Run ids are process-unique and never 0, so a
+  /// fresh object or one stamped by another engine or an earlier run never
+  /// matches the current run.
+  std::atomic<std::uint64_t> hyper_stamp{0};
 };
 
 }  // namespace rader

@@ -56,11 +56,24 @@ void SerialEngine::run_impl(FnView root, bool from_start) {
   // resume_from()), so without this the program's stack locals would sit at
   // slightly shifted addresses in otherwise identical executions — enough
   // to fail resume verification ("access addresses drifted") and drive
-  // every prefix-sweep resume into fallback.  Padding to a 64 KiB boundary
-  // makes the frame user code runs in independent of the entry point.  The
-  // frame address is 16-aligned, so the alloca amount is exact.
-  void* stack_pad = __builtin_alloca(
-      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0)) & 0xFFF0u);
+  // every prefix-sweep resume into fallback.  Every run on a thread pads
+  // down to one thread-local anchor, the 64 KiB boundary at least 64 KiB
+  // below the thread's first entry, which makes the frame user code runs in
+  // independent of the entry point.  (Rounding each entry down to its own
+  // 64 KiB boundary fails whenever two entry frames straddle one.)  The
+  // boundary keeps the user frame's offset within a 64 KiB window, and so
+  // within every shadow page, the same in every process.  A run entered
+  // more than 64 KiB deeper than the thread's first stays unpadded, and a
+  // resume of it falls back.  Frame addresses are 16-aligned, so the alloca
+  // amount is exact.
+  static thread_local std::uintptr_t stack_anchor = 0;
+  const auto frame =
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  if (stack_anchor == 0) {
+    stack_anchor = (frame - 0x10000) & ~std::uintptr_t{0xFFFF};
+  }
+  void* stack_pad =
+      __builtin_alloca(frame > stack_anchor ? frame - stack_anchor : 0);
   asm volatile("" : : "r"(stack_pad));  // the pad must not be elided
 #endif
   running_ = true;

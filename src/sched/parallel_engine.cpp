@@ -1,8 +1,11 @@
 #include "sched/parallel_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "support/trace.hpp"
 #include "tool/tool.hpp"
@@ -21,6 +24,71 @@ trace::Session* sync_thread_buffer(trace::Session* attached, unsigned index) {
       s != nullptr ? s->make_buffer("pe-worker-" + std::to_string(index))
                    : nullptr);
   return s;
+}
+
+// The CPU the calling thread runs on, or -1 where that is unknown.
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+// Move helper `index` onto the index-th allowed CPU after `home_cpu` (worker
+// 0's), then hand the scheduler the whole mask back.  Woken from worker 0,
+// helpers otherwise tend to land on worker 0's CPU or on one shared CPU —
+// the guest scheduler passes over idle vCPUs that the host has descheduled
+// — and a short run then ends before any of them is scheduled.
+void place_helper(unsigned index, int home_cpu) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (home_cpu < 0 || sched_getaffinity(0, sizeof(allowed), &allowed) != 0) {
+    return;
+  }
+  const int n = CPU_COUNT(&allowed);
+  if (n < 2) return;
+  int home = 0;
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE && static_cast<int>(cpus.size()) < n; ++c) {
+    if (!CPU_ISSET(c, &allowed)) continue;
+    if (c == home_cpu) home = static_cast<int>(cpus.size());
+    cpus.push_back(c);
+  }
+  const int target = cpus[(home + static_cast<int>(index)) % n];
+  if (sched_getcpu() == target) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(target, &one);
+  if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+    sched_setaffinity(0, sizeof(allowed), &allowed);
+  }
+#else
+  (void)index, (void)home_cpu;
+#endif
+}
+
+// Failed steal rounds a helper spins through before it starts yielding.
+constexpr unsigned kSpinRounds = 4096;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Run ids stamp reducers (HyperobjectBase::hyper_stamp), so they are unique
+// across every engine in the process; 0 is reserved for "never stamped".
+std::atomic<std::uint32_t> g_next_run_id{1};
+
+std::uint32_t next_run_id() {
+  std::uint32_t id;
+  do {
+    id = g_next_run_id.fetch_add(1, std::memory_order_relaxed);
+  } while (id == 0);
+  return id;
 }
 
 }  // namespace
@@ -42,8 +110,12 @@ ParallelEngine::ParallelEngine(unsigned workers) {
 }
 
 ParallelEngine::~ParallelEngine() {
-  stop_.store(true, std::memory_order_release);
-  idle_cv_.notify_all();
+  // run() always returns with every helper parked, so they all see this.
+  {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    stop_ = true;
+  }
+  park_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
@@ -53,8 +125,8 @@ void ParallelEngine::set_tool(ParallelTool* tool) {
   tool_ = tool;
 }
 
-void ParallelEngine::record(WorkerState& w, const ShardEvent& e) {
-  if (tool_ == nullptr || w.suppress > 0 || w.frames.empty()) return;
+bool ParallelEngine::record(WorkerState& w, const ShardEvent& e) {
+  if (tool_ == nullptr || w.suppress > 0 || w.frames.empty()) return false;
   switch (e.kind) {
     case ShardEvent::Kind::kFrameEnter:
     case ShardEvent::Kind::kFrameReturn:
@@ -72,6 +144,7 @@ void ParallelEngine::record(WorkerState& w, const ShardEvent& e) {
   }
   w.frames.back().cur_ev->push_back(e);
   metrics::bump(metrics::Counter::kShardEvents);
+  return true;
 }
 
 void ParallelEngine::helper_loop(unsigned index) {
@@ -83,17 +156,38 @@ void ParallelEngine::helper_loop(unsigned index) {
   // The worker's private sink for the thread's lifetime; run() folds the
   // accumulated snapshot into the caller's sink after every join.
   metrics::Scope mscope(&w.metrics);
-  while (!stop_.load(std::memory_order_acquire)) {
-    attached = sync_thread_buffer(attached, index);
-    if (ChildRecord* rec = try_get_work(w)) {
-      execute_child(w, rec);
-      continue;
+  std::uint64_t seen = 0;
+  int home_cpu = -1;
+  for (;;) {
+    {
+      // Parked between runs.  The generation check is made under the lock
+      // that run() bumps it under, so no start is ever missed.
+      std::unique_lock<std::mutex> lock(park_mu_);
+      park_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      if (stop_) break;
+      seen = generation_;
+      home_cpu = home_cpu_;
     }
-    // Nothing to steal: back off, then sleep until new work is spawned.
-    std::unique_lock<std::mutex> lock(idle_mu_);
-    sleeping_.fetch_add(1, std::memory_order_relaxed);
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(1));
-    sleeping_.fetch_sub(1, std::memory_order_relaxed);
+    place_helper(index, home_cpu);
+    attached = sync_thread_buffer(attached, index);
+    helpers_in_run_.fetch_add(1, std::memory_order_release);
+    // In a run: steal until the root finishes.  Never sleep here — a wake
+    // costs a trip through the OS scheduler on every spawn-heavy phase.
+    // Failed rounds spin at first and yield only once work has been scarce
+    // for a while, so a helper that has just joined keeps its CPU for the
+    // root's first spawns even on a busy host.
+    unsigned idle = 0;
+    while (in_run_.load(std::memory_order_acquire)) {
+      if (ChildRecord* rec = try_get_work(w)) {
+        execute_child(w, rec);
+        idle = 0;
+      } else if (++idle < kSpinRounds) {
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    helpers_in_run_.fetch_sub(1, std::memory_order_release);
   }
   trace::set_thread_buffer(nullptr);
   tl_worker_ = nullptr;
@@ -119,24 +213,39 @@ ParallelEngine::ChildRecord* ParallelEngine::try_get_work(WorkerState& w) {
   return nullptr;
 }
 
-void ParallelEngine::wake_helpers() {
-  if (sleeping_.load(std::memory_order_relaxed) > 0) idle_cv_.notify_all();
+void ParallelEngine::start_helpers() {
+  const auto helpers = static_cast<unsigned>(threads_.size());
+  if (helpers == 0) return;
+  in_run_.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(park_mu_);
+    home_cpu_ = current_cpu();
+    ++generation_;
+  }
+  park_cv_.notify_all();
+  while (helpers_in_run_.load(std::memory_order_acquire) < helpers) {
+    std::this_thread::yield();
+  }
 }
 
 void ParallelEngine::run(FnView root) {
   RADER_CHECK_MSG(!running_.exchange(true), "ParallelEngine::run reentered");
   steals_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    reducer_ids_.clear();
-    reducers_.clear();
-  }
+  reducers_.clear();  // helpers are parked: nothing else can touch it
+  run_id_ = next_run_id();
   record_accesses_ = tool_ != nullptr && tool_->wants_accesses();
 
   WorkerState& w = *workers_[0];
   tl_worker_ = &w;
   trace::set_worker(0);
   trace::emit(trace::EventKind::kRunBegin, kInvalidFrame);
+  start_helpers();
+  // Declared before the scopes below so it runs after they close, on the
+  // normal path and when `root` throws alike.
+  struct EndRun {
+    ParallelEngine* engine;
+    ~EndRun() { engine->end_run(); }
+  } end_run_guard{this};
   {
     metrics::Scope mscope(&w.metrics);
     Engine::Scope scope(this);
@@ -180,16 +289,16 @@ void ParallelEngine::run(FnView root) {
     // land directly in the leftmost view there), so the user code runs
     // suppressed.
     ++w.suppress;
-    for (auto& [h, view] : *done.seg0) {
+    for (auto& [h, sv] : *done.seg0) {
       HyperobjectBase* r;
       {
         std::lock_guard<std::mutex> lock(reg_mu_);
         r = reducers_[h];
       }
       if (r == nullptr) continue;  // destroyed during the run
-      if (view != r->hyper_leftmost()) {
-        r->hyper_reduce(r->hyper_leftmost(), view);
-        r->hyper_destroy(view);
+      if (sv.view != r->hyper_leftmost()) {
+        r->hyper_reduce(r->hyper_leftmost(), sv.view);
+        r->hyper_destroy(sv.view);
       }
     }
     --w.suppress;
@@ -203,15 +312,32 @@ void ParallelEngine::run(FnView root) {
       }
       delete done.ev0;
       replayer_->end();
-      replayer_.reset();
     }
   }
+}
+
+void ParallelEngine::end_run() {
+  in_run_.store(false, std::memory_order_release);
+  while (helpers_in_run_.load(std::memory_order_acquire) > 0) {
+    std::this_thread::yield();
+  }
+
+  // A normal exit has popped every frame; unwinding out of `root` leaves
+  // the root frame (and any called frames) behind.
+  WorkerState& w = *workers_[0];
+  for (FrameCtx& f : w.frames) {
+    if (f.owns_seg0) delete f.seg0;
+    if (f.owns_ev0) delete f.ev0;
+  }
+  w.frames.clear();
+  w.suppress = 0;
+  w.view_aware_depth = 0;
+  replayer_.reset();
 
   // Fold every worker's accounting into the caller's sink, the same shape
   // sweep workers use: private Registry per worker, one absorb after the
-  // join.  All worker bumps happen inside executed children, ordered before
-  // this point by each child's done-flag release/acquire chain up the spawn
-  // tree, so the registries are quiescent here.
+  // join.  Every helper has counted itself out above (release/acquire), so
+  // the registries are quiescent here.
   if (metrics::Registry* outer = metrics::current()) {
     metrics::Snapshot total;
     for (auto& wk : workers_) {
@@ -254,7 +380,6 @@ void ParallelEngine::spawn_task(Task task) {
   f.items.push_back(std::move(item));
   w.deque.push(rec);
   metrics::gauge_add(metrics::Gauge::kDequeSize, 1);
-  wake_helpers();
 }
 
 void ParallelEngine::call_inline(FnView fn) {
@@ -364,10 +489,8 @@ void ParallelEngine::do_sync(WorkerState& w) {
     fold_map(*f.seg0, item.child->result);
     fold_map(*f.seg0, *item.segment);
     if (tool_ != nullptr) {
-      f.ev0->insert(f.ev0->end(), item.child->result_ev.begin(),
-                    item.child->result_ev.end());
-      f.ev0->insert(f.ev0->end(), item.segment_ev->begin(),
-                    item.segment_ev->end());
+      f.ev0->splice(item.child->result_ev);
+      f.ev0->splice(*item.segment_ev);
     }
   }
   --w.suppress;
@@ -392,15 +515,18 @@ void ParallelEngine::do_sync(WorkerState& w) {
 }
 
 void ParallelEngine::fold_map(Hypermap& acc, Hypermap& right) {
-  for (auto& [h, view] : right) {
+  for (auto& [h, sv] : right) {
     auto it = acc.find(h);
     if (it == acc.end()) {
-      acc.emplace(h, view);  // transplant (preserves leftmost pointers)
+      acc.emplace(h, sv);  // transplant (preserves leftmost pointers)
       continue;
     }
+    // Both segments' shards are spliced into the accumulator's, so an
+    // announcement on either side precedes everything recorded after.
+    it->second.announced = it->second.announced || sv.announced;
     HyperobjectBase* r;
     {
-      // get_or_register may grow reducers_ concurrently; snapshot the
+      // register_slot may grow reducers_ concurrently; snapshot the
       // pointer under the registry lock (but run user Reduce code outside).
       std::lock_guard<std::mutex> lock(reg_mu_);
       r = reducers_[h];
@@ -414,21 +540,28 @@ void ParallelEngine::fold_map(Hypermap& acc, Hypermap& right) {
       continue;
     }
     trace::emit(trace::EventKind::kReduceBegin, kInvalidFrame, h, 0);
-    r->hyper_reduce(it->second, view);
-    r->hyper_destroy(view);
+    r->hyper_reduce(it->second.view, sv.view);
+    r->hyper_destroy(sv.view);
     trace::emit(trace::EventKind::kReduceEnd, kInvalidFrame, h, 0);
   }
   right.clear();
 }
 
-ReducerId ParallelEngine::get_or_register(HyperobjectBase* r, void* leftmost) {
+ReducerId ParallelEngine::slot_of(HyperobjectBase* r) {
+  const std::uint64_t stamp = r->hyper_stamp.load(std::memory_order_acquire);
+  if ((stamp >> 32) == run_id_) return static_cast<ReducerId>(stamp);
+  return register_slot(r);
+}
+
+ReducerId ParallelEngine::register_slot(HyperobjectBase* r) {
   std::lock_guard<std::mutex> lock(reg_mu_);
-  auto it = reducer_ids_.find(r);
-  if (it != reducer_ids_.end()) return it->second;
+  // Another worker may have made first contact since the caller looked.
+  const std::uint64_t stamp = r->hyper_stamp.load(std::memory_order_relaxed);
+  if ((stamp >> 32) == run_id_) return static_cast<ReducerId>(stamp);
   const auto h = static_cast<ReducerId>(reducers_.size());
   reducers_.push_back(r);
-  reducer_ids_.emplace(r, h);
-  (void)leftmost;  // lazily-bound leftmost views fold in at run() end
+  r->hyper_stamp.store((std::uint64_t{run_id_} << 32) | h,
+                       std::memory_order_release);
   return h;
 }
 
@@ -437,37 +570,33 @@ void ParallelEngine::register_reducer(HyperobjectBase* r, void* leftmost_view,
   if (!running_.load(std::memory_order_acquire) || tl_worker_ == nullptr) {
     return;  // created outside the computation: bound lazily on first use
   }
-  const ReducerId h = get_or_register(r, leftmost_view);
-  // The leftmost view lives in the creating strand's current segment and
-  // folds leftward from there, exactly like the serial engine's base view.
-  (*self().frames.back().cur)[h] = leftmost_view;
+  const ReducerId h = slot_of(r);
   trace::emit(trace::EventKind::kViewCreate, kInvalidFrame, 0, h, /*aux=*/0);
   ShardEvent e{ShardEvent::Kind::kReducerOp,
                static_cast<std::uint8_t>(ReducerOp::kCreate)};
   e.slot = h;
   e.label = tag.label;
-  record(self(), e);
+  // The leftmost view lives in the creating strand's current segment and
+  // folds leftward from there, exactly like the serial engine's base view.
+  (*self().frames.back().cur)[h] = SegView{leftmost_view, record(self(), e)};
 }
 
 void ParallelEngine::unregister_reducer(HyperobjectBase* r, SrcTag tag) {
   if (!running_.load(std::memory_order_acquire) || tl_worker_ == nullptr) {
     return;
   }
-  ReducerId h;
+  const std::uint64_t stamp = r->hyper_stamp.load(std::memory_order_acquire);
+  if ((stamp >> 32) != run_id_) return;  // never contacted in this run
+  const auto h = static_cast<ReducerId>(stamp);
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
-    auto it = reducer_ids_.find(r);
-    if (it == reducer_ids_.end()) return;
-    h = it->second;
-    // Contract (as in Cilk): destroy a reducer only after the sync that
-    // joins all its updaters; at that point its only view is in the current
-    // segment.
-    if (!self().frames.empty()) {
-      self().frames.back().cur->erase(h);
-    }
     reducers_[h] = nullptr;
-    reducer_ids_.erase(it);
+    r->hyper_stamp.store(0, std::memory_order_relaxed);
   }
+  // Contract (as in Cilk): destroy a reducer only after the sync that joins
+  // all its updaters; at that point its only view is in the current
+  // segment.
+  if (!self().frames.empty()) self().frames.back().cur->erase(h);
   ShardEvent e{ShardEvent::Kind::kReducerOp,
                static_cast<std::uint8_t>(ReducerOp::kDestroy)};
   e.slot = h;
@@ -484,23 +613,28 @@ void ParallelEngine::unregister_reducer(HyperobjectBase* r, SrcTag tag) {
 }
 
 void* ParallelEngine::current_view(HyperobjectBase* r, SrcTag) {
-  const ReducerId h = get_or_register(r, r->hyper_leftmost());
+  const ReducerId h = slot_of(r);
   WorkerState& w = self();
   // The serial engine binds reducers silently at view lookups; the marker
   // pins the slot's first-contact position in the spliced stream so the
-  // replayer renumbers reducers in serial bind order (tool/shard.hpp).
+  // replayer renumbers reducers in serial bind order (tool/shard.hpp).  A
+  // segment announces each reducer once: after that the marker is
+  // redundant, since an earlier event of the same shard names the slot.
   ShardEvent bind{ShardEvent::Kind::kBind};
   bind.slot = h;
-  record(w, bind);
   Hypermap& m = *w.frames.back().cur;
   auto it = m.find(h);
-  if (it != m.end()) return it->second;
+  if (it != m.end()) {
+    if (!it->second.announced) it->second.announced = record(w, bind);
+    return it->second.view;
+  }
+  const bool announced = record(w, bind);
   // Identity creation runs user code, but a serial no-steal execution never
   // creates identities (every lookup hits the leftmost view): suppress.
   ++w.suppress;
   void* view = r->hyper_create_identity();
   --w.suppress;
-  m.emplace(h, view);
+  m.emplace(h, SegView{view, announced});
   trace::emit(trace::EventKind::kViewCreate, kInvalidFrame, 0, h, /*aux=*/1);
   return view;
 }
@@ -511,7 +645,7 @@ void ParallelEngine::reducer_read(HyperobjectBase* r, ReducerOp op,
       tl_worker_ == nullptr) {
     return;
   }
-  const ReducerId h = get_or_register(r, r->hyper_leftmost());
+  const ReducerId h = slot_of(r);
   ShardEvent e{ShardEvent::Kind::kReducerOp, static_cast<std::uint8_t>(op)};
   e.slot = h;
   e.label = tag.label;
@@ -525,7 +659,7 @@ void ParallelEngine::begin_update(HyperobjectBase* r, SrcTag tag) {
   WorkerState& w = self();
   ++w.view_aware_depth;
   if (tool_ == nullptr) return;
-  const ReducerId h = get_or_register(r, r->hyper_leftmost());
+  const ReducerId h = slot_of(r);
   ShardEvent e{ShardEvent::Kind::kReducerOp,
                static_cast<std::uint8_t>(ReducerOp::kUpdate)};
   e.slot = h;

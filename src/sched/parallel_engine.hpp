@@ -24,6 +24,14 @@
 // attached ParallelTool receives the byte-identical event stream of a
 // serial no-steal run while the program executes on all cores
 // (tool/shard.hpp has the full argument, DESIGN.md §5 the design notes).
+//
+// The reducer path takes no lock: a reducer's slot is read from the stamp
+// the engine leaves in HyperobjectBase::hyper_stamp at first contact, and
+// only that first contact registers under the registry lock.  Helper
+// threads are run-scoped: they park between runs, run() wakes them all and
+// waits until each has joined — on its own CPU — before the root starts,
+// and during the run they spin-steal (spinning, then yielding) instead of
+// sleeping, so no spawn ever pays for a wake-up.
 #pragma once
 
 #include <atomic>
@@ -33,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "runtime/engine.hpp"
@@ -62,7 +69,10 @@ class ParallelEngine final : public Engine {
   void set_tool(ParallelTool* tool);
 
   /// Execute `root` to completion using all workers.  The calling thread
-  /// participates; not reentrant.
+  /// participates; not reentrant.  Unwind-safe for an exception thrown by
+  /// `root` while none of its spawned children is outstanding (no spawn
+  /// since the last sync): the run's state is reset and the engine is
+  /// usable again.  A throw with children in flight is not supported.
   void run(FnView root);
 
   unsigned worker_count() const {
@@ -92,9 +102,18 @@ class ParallelEngine final : public Engine {
   void end_update(HyperobjectBase* r) override;
 
  private:
+  // A segment's view of one reducer.  `announced` is set once a kBind or
+  // kCreate naming the reducer was recorded (not suppressed) into the
+  // segment's aligned shard; the flag travels with the view through
+  // fold_map, and an announced entry makes later kBind markers redundant.
+  struct SegView {
+    void* view = nullptr;
+    bool announced = false;
+  };
+
   // Views of one segment, keyed by reducer.  std::map keeps the fold order
   // deterministic (registration order) without a sort at every fold.
-  using Hypermap = std::map<ReducerId, void*>;
+  using Hypermap = std::map<ReducerId, SegView>;
 
   struct ChildRecord {
     explicit ChildRecord(Task t) : task(std::move(t)) {}
@@ -159,36 +178,57 @@ class ParallelEngine final : public Engine {
   void execute_child(WorkerState& w, ChildRecord* rec);
   void do_sync(WorkerState& w);
   void fold_map(Hypermap& acc, Hypermap& right);
-  void wake_helpers();
 
-  /// Append `e` to the calling worker's current segment shard (no-op
-  /// without a tool, under suppression, or outside a frame).  Control
-  /// events and clears advance the worker's strand epoch.
-  void record(WorkerState& w, const ShardEvent& e);
+  /// Wake every helper into the current run and wait until each has joined.
+  void start_helpers();
+  /// Everything after the root's final sync, on every exit path of run():
+  /// park the helpers, drop leftover run state, fold worker metrics.
+  void end_run();
 
-  ReducerId get_or_register(HyperobjectBase* r, void* leftmost);
+  /// Append `e` to the calling worker's current segment shard.  Returns
+  /// false (recording nothing) without a tool, under suppression, or
+  /// outside a frame.  Control events and clears advance the worker's
+  /// strand epoch.
+  bool record(WorkerState& w, const ShardEvent& e);
+
+  /// `r`'s slot in the current run: a lock-free stamp check, registering
+  /// under reg_mu_ only at first contact.
+  ReducerId slot_of(HyperobjectBase* r);
+  ReducerId register_slot(HyperobjectBase* r);
 
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::vector<std::thread> threads_;
 
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<bool> stop_{false};
+  // Helper parking, between runs only.  A run bumps `generation_`; a parked
+  // helper joins every generation it has not yet seen, so one still leaving
+  // run k cannot miss the start of run k+1.
+  std::mutex park_mu_;
+  std::condition_variable park_cv_;
+  std::uint64_t generation_ = 0;  // guarded by park_mu_
+  bool stop_ = false;             // guarded by park_mu_
+  int home_cpu_ = -1;             // worker 0's CPU at run start; ditto
+  // In-run helper protocol: helpers steal while `in_run_` holds; run()
+  // waits for all of them to count in before the root starts and for all
+  // to count out before it returns.
+  std::atomic<bool> in_run_{false};
+  std::atomic<unsigned> helpers_in_run_{0};
+
   std::atomic<bool> running_{false};
-  std::atomic<int> sleeping_{0};
   std::atomic<std::uint64_t> steals_{0};
   // Pseudo frame ids for trace slices (real frames have no global ids here);
   // only advanced while a TraceScope is active.
   std::atomic<std::uint32_t> trace_frames_{0};
 
-  // Written between runs only; read by workers during a run (ordered by the
-  // deque push/steal that hands them their first task).
+  // Written between runs only; read by workers during a run (ordered by
+  // park_mu_, which every helper takes to join the run).
   ParallelTool* tool_ = nullptr;
   bool record_accesses_ = false;
+  std::uint32_t run_id_ = 0;  // process-unique, never 0
   std::unique_ptr<ShardReplayer> replayer_;  // worker 0 only
 
+  // Slot -> reducer for the current run (nullptr once destroyed).  Grows
+  // at first contact; fold and run-end reads snapshot under the lock.
   std::mutex reg_mu_;
-  std::unordered_map<HyperobjectBase*, ReducerId> reducer_ids_;
   std::vector<HyperobjectBase*> reducers_;
 };
 

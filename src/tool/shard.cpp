@@ -1,5 +1,7 @@
 #include "tool/shard.hpp"
 
+#include <algorithm>
+
 #include "support/common.hpp"
 #include "tool/tool.hpp"
 
@@ -11,7 +13,50 @@ namespace rader {
 // the whole run).
 namespace {
 constexpr ViewId kBaseView = 0;
+
+// A segment typically records a handful of events (a spawned child's
+// enter/return plus its reducer ops), so chains start small; long strands
+// double up to the cap, keeping appends amortized O(1) allocations.
+constexpr std::uint32_t kFirstChunkEvents = 8;
+constexpr std::uint32_t kMaxChunkEvents = 4096;
 }  // namespace
+
+void EventShard::grow() {
+  const std::uint32_t capacity =
+      tail_ == nullptr ? kFirstChunkEvents
+                       : std::min(2 * tail_->capacity, kMaxChunkEvents);
+  void* mem =
+      ::operator new(sizeof(Chunk) + capacity * sizeof(ShardEvent));
+  Chunk* c = new (mem) Chunk();
+  c->capacity = capacity;
+  if (tail_ == nullptr) {
+    head_ = c;
+  } else {
+    tail_->next = c;
+  }
+  tail_ = c;
+}
+
+void EventShard::splice(EventShard& other) {
+  if (other.head_ == nullptr) return;
+  if (tail_ == nullptr) {
+    head_ = other.head_;
+  } else {
+    tail_->next = other.head_;
+  }
+  tail_ = other.tail_;
+  other.head_ = other.tail_ = nullptr;
+}
+
+void EventShard::clear() {
+  for (Chunk* c = head_; c != nullptr;) {
+    Chunk* next = c->next;
+    c->~Chunk();
+    ::operator delete(c);
+    c = next;
+  }
+  head_ = tail_ = nullptr;
+}
 
 void ShardReplayer::begin() {
   next_frame_ = 0;
@@ -36,7 +81,7 @@ ReducerId ShardReplayer::map_slot(ReducerId slot) {
 }
 
 void ShardReplayer::feed(const EventShard& shard) {
-  for (const ShardEvent& e : shard) {
+  shard.for_each([this](const ShardEvent& e) {
     switch (e.kind) {
       case ShardEvent::Kind::kFrameEnter: {
         const FrameId id = next_frame_++;
@@ -59,7 +104,8 @@ void ShardReplayer::feed(const EventShard& shard) {
         break;
       case ShardEvent::Kind::kBind:
         // First contact may carry no Tool event (a bare view lookup); the
-        // marker exists purely to pin the serial renumbering order.
+        // marker exists purely to pin the serial renumbering order, and
+        // map_slot is idempotent, so a repeated marker is a no-op.
         (void)map_slot(e.slot);
         break;
       case ShardEvent::Kind::kReducerOp:
@@ -74,7 +120,7 @@ void ShardReplayer::feed(const EventShard& shard) {
         tool_->on_clear(e.addr, e.size);
         break;
     }
-  }
+  });
 }
 
 void ShardReplayer::end() {

@@ -24,11 +24,16 @@
 // engine numbers them in first-CONTACT order of the depth-first execution.
 // Events carry the engine's slot number, and the replayer renumbers slots in
 // order of first appearance in the spliced stream; kBind markers (recorded
-// at every view lookup, the serial engine's one silent binding point) pin
-// that order even for reducers whose first contact produces no Tool event.
+// at view lookups, the serial engine's one silent binding point) pin that
+// order even for reducers whose first contact produces no Tool event.  The
+// engine records a kBind only when the current segment has not yet
+// announced the reducer: an announced segment entry means an earlier event
+// of the aligned shard already names the slot, and renumbering is
+// idempotent, so a second marker could change no callback.
 #pragma once
 
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "runtime/types.hpp"
@@ -37,8 +42,7 @@ namespace rader {
 
 class Tool;
 
-/// One recorded instrumentation event.  A tagged union kept trivially
-/// copyable: shards are bulk-spliced with vector::insert on the join path.
+/// One recorded instrumentation event, a trivially copyable tagged union.
 struct ShardEvent {
   enum class Kind : std::uint8_t {
     kFrameEnter,   // a = FrameKind
@@ -59,8 +63,59 @@ struct ShardEvent {
   const char* label = "";    // SrcTag (string literals; outlive the run)
 };
 
-/// A segment's recorded events, in that segment's execution order.
-using EventShard = std::vector<ShardEvent>;
+/// A segment's recorded events, in that segment's execution order: a chain
+/// of chunks whose capacities grow geometrically, so appends never move
+/// recorded events and a join splices a whole child shard in O(1) by
+/// relinking its chunks instead of copying them.  One writer at a time (the
+/// segment's executor); the chunks migrate with splice() and are freed by
+/// whichever shard owns them last.
+class EventShard {
+ public:
+  EventShard() = default;
+  ~EventShard() { clear(); }
+  EventShard(const EventShard&) = delete;
+  EventShard& operator=(const EventShard&) = delete;
+
+  bool empty() const { return head_ == nullptr; }
+
+  void push_back(const ShardEvent& e) {
+    if (tail_ == nullptr || tail_->size == tail_->capacity) grow();
+    new (tail_->events() + tail_->size++) ShardEvent(e);
+  }
+
+  /// Append all of `other`'s events after this shard's, leaving `other`
+  /// empty.  O(1).
+  void splice(EventShard& other);
+
+  /// Drop every event and free the chunks.
+  void clear();
+
+  /// Visit the events in order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const Chunk* c = head_; c != nullptr; c = c->next) {
+      const ShardEvent* ev = c->events();
+      for (std::uint32_t i = 0; i < c->size; ++i) f(ev[i]);
+    }
+  }
+
+ private:
+  struct Chunk {
+    Chunk* next = nullptr;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+    ShardEvent* events() { return reinterpret_cast<ShardEvent*>(this + 1); }
+    const ShardEvent* events() const {
+      return reinterpret_cast<const ShardEvent*>(this + 1);
+    }
+  };
+  static_assert(sizeof(Chunk) % alignof(ShardEvent) == 0);
+
+  void grow();
+
+  Chunk* head_ = nullptr;  // never holds an empty chunk
+  Chunk* tail_ = nullptr;
+};
 
 /// Replays spliced shards through a serial Tool, minting frame and reducer
 /// IDs in depth-first order so the delivered callback stream is

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <thread>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "reducers/monoid.hpp"
@@ -169,6 +170,34 @@ TEST(ParallelEngine, StealCountReported) {
   });
   // With 4 workers and plenty of tasks, some steals should happen.
   EXPECT_GT(engine.steal_count(), 0u);
+}
+
+// run() is unwind-safe for a throw with no spawned child outstanding: the
+// engine resets its run state, parks its helpers, and runs again.
+TEST(ParallelEngine, RunIsReusableAfterRootThrows) {
+  ParallelEngine engine(4);
+  EXPECT_THROW(engine.run([] { throw std::runtime_error("x"); }),
+               std::runtime_error);
+  engine.run([] {});
+  // Throw from inside a called frame, with a live reducer and a completed
+  // spawn/sync behind it: the unwinding destroys the reducer mid-run.
+  EXPECT_THROW(engine.run([] {
+    reducer<monoid::op_add<long>> sum;
+    call([&] {
+      spawn([&sum] { sum += 1; });
+      sync();
+      throw std::runtime_error("y");
+    });
+  }),
+               std::runtime_error);
+  long total = 0;
+  engine.run([&] {
+    reducer<monoid::op_add<long>> sum;
+    parallel_for<int>(0, 1000, [&](int) { sum += 1; });
+    sync();
+    total = sum.get_value();
+  });
+  EXPECT_EQ(total, 1000);
 }
 
 }  // namespace
