@@ -9,12 +9,14 @@
 //     shadowing a multi-MB footprint is forked once per steal spec, the
 //     spec replays a short suffix (one page of detector-shaped accesses:
 //     read writer, read reader, record one), and the fork is dropped.
-//     The legacy encoding pays an unordered_map node copy per page on
-//     every fork and another map teardown on every drop — O(footprint)
-//     per spec; the packed encoding's two-level CoW forks copy only the
-//     shard tables and bump chunk refcounts — O(#chunks) per spec.  This
-//     is exactly the cost the ISSUE's >= 3x claim is about: the per-spec
-//     overhead of carrying a production-sized shadow through a sweep.
+//     The legacy encoding (the reference pair of ShadowSpaces in
+//     tests/support/reference_shadow.hpp) pays an unordered_map node copy
+//     per page on every fork and another map teardown on every drop —
+//     O(footprint) per spec; the packed encoding's two-level CoW forks
+//     copy only the shard tables and bump chunk refcounts — O(#chunks) per
+//     spec.  This is exactly the cost the >= 3x gate is about: the
+//     per-spec overhead of carrying a production-sized shadow through a
+//     sweep.
 //
 //     A steady-state page-hopping sweep over the same footprint is also
 //     reported (ungated): single-pass random access is bounded by the
@@ -48,7 +50,8 @@
 #include "core/spplus.hpp"
 #include "runtime/api.hpp"
 #include "runtime/serial_engine.hpp"
-#include "shadow/access_shadow.hpp"
+#include "reference_shadow.hpp"
+#include "shadow/packed_shadow.hpp"
 #include "spec/steal_spec.hpp"
 #include "support/hash.hpp"
 #include "support/metrics.hpp"
@@ -61,19 +64,20 @@ using rader::SamplingTool;
 using rader::SerialEngine;
 using rader::SpPlusDetector;
 using rader::Tool;
-using rader::shadow::AccessShadow;
-using rader::shadow::SlotEncoding;
+using rader::shadow::PackedShadow;
+using rader::shadow::ReferenceShadow;
 
 // ---- 1. Checkpointed sweep + steady-state sweep ----------------------------
 
 // The detectors' access shape: read both fields at once, record one —
 // alternating reads and writes so BOTH logical spaces populate (one packed
-// slot; two separate legacy pages).
-inline void detector_shaped_op(AccessShadow& s, std::uintptr_t g,
-                               std::uint32_t id) {
+// slot; two separate legacy pages).  `Shadow` is PackedShadow (production)
+// or ReferenceShadow (the legacy pair, tests/support/reference_shadow.hpp).
+template <class Shadow>
+inline void detector_shaped_op(Shadow& s, std::uintptr_t g, std::uint32_t id) {
   const auto [reader, writer] = s.fields(g);
-  const bool writer_empty = writer == AccessShadow::kEmpty;
-  const bool reader_empty = reader == AccessShadow::kEmpty;
+  const bool writer_empty = writer == Shadow::kEmpty;
+  const bool reader_empty = reader == Shadow::kEmpty;
   if (id & 1) {
     if (reader_empty || !writer_empty) s.set_reader(g, id & 0xFFFF);
   } else {
@@ -85,16 +89,17 @@ constexpr std::uintptr_t kBase = std::uintptr_t{1} << 30;
 
 // Per-spec cost of the prefix sweep's checkpoint cycle: fork the
 // footprint-sized base shadow, replay a one-page suffix, drop the fork.
-double time_checkpoint_sweep(SlotEncoding enc, std::size_t granules,
-                             int specs, std::size_t window, int reps) {
-  AccessShadow base(enc);
+template <class Shadow>
+double time_checkpoint_sweep(std::size_t granules, int specs,
+                             std::size_t window, int reps) {
+  Shadow base;
   for (std::size_t i = 0; i < granules; ++i) {
     detector_shaped_op(base, kBase + i, static_cast<std::uint32_t>(i));
   }
   return rader::metrics::time_best_of(reps, [&] {
     std::uint32_t id = 1;
     for (int s = 0; s < specs; ++s) {
-      AccessShadow fork = base.fork();
+      Shadow fork = base.fork();
       // A different suffix page per spec, hopping around the footprint.
       const std::uintptr_t w0 =
           kBase + (static_cast<std::uintptr_t>(s) * 7919 * 4096) %
@@ -111,10 +116,10 @@ double time_checkpoint_sweep(SlotEncoding enc, std::size_t granules,
 // accesses (chunk-cache hit) — the regime the two-level directory targets.
 constexpr std::uintptr_t kStride = 4099;
 
-double time_shadow_sweep(SlotEncoding enc, std::size_t granules, int passes,
-                         int reps) {
+template <class Shadow>
+double time_shadow_sweep(std::size_t granules, int passes, int reps) {
   return rader::metrics::time_best_of(reps, [&] {
-    AccessShadow s(enc);
+    Shadow s;
     const std::uintptr_t mask = granules - 1;  // granules is a power of two
     std::uint32_t id = 1;
     for (int p = 0; p < passes; ++p) {
@@ -263,10 +268,10 @@ int main(int argc, char** argv) {
   // -- 1. Checkpointed sweep (gated) + steady-state sweep (reported).
   const int specs = 40;
   const std::size_t window = 4096;  // one page of suffix accesses per spec
-  const double ckpt_legacy = time_checkpoint_sweep(
-      SlotEncoding::kLegacy, granules, specs, window, reps);
-  const double ckpt_packed = time_checkpoint_sweep(
-      SlotEncoding::kPacked, granules, specs, window, reps);
+  const double ckpt_legacy = time_checkpoint_sweep<ReferenceShadow>(
+      granules, specs, window, reps);
+  const double ckpt_packed = time_checkpoint_sweep<PackedShadow>(
+      granules, specs, window, reps);
   std::printf("checkpointed sweep: %zu-granule (%zu MB) checkpoint, %d "
               "specs x %zu-granule suffix\n",
               granules, granules >> 20, specs, window);
@@ -278,11 +283,9 @@ int main(int argc, char** argv) {
 
   const int passes = 2;
   const double legacy_s =
-      time_shadow_sweep(SlotEncoding::kLegacy, granules, passes, reps) /
-      passes;
+      time_shadow_sweep<ReferenceShadow>(granules, passes, reps) / passes;
   const double packed_s =
-      time_shadow_sweep(SlotEncoding::kPacked, granules, passes, reps) /
-      passes;
+      time_shadow_sweep<PackedShadow>(granules, passes, reps) / passes;
   const double mops = 1e-6 * static_cast<double>(granules);
   std::printf("steady-state sweep: page-hopping stride %zu (ungated)\n",
               static_cast<std::size_t>(kStride));

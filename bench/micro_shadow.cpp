@@ -1,13 +1,14 @@
-// Microbenchmarks for the shadow spaces: the per-access cost that dominates
+// Microbenchmarks for shadow memory: the per-access cost that dominates
 // SP+ on access-dense benchmarks (the paper's fib/knapsack discussion), and
-// the two layers above them: the detectors' access kernel (timed through
-// SP+) and the race log's duplicate-report path.
+// the two layers above it: the detectors' access kernel (timed through
+// SP+) and the race log's duplicate-report path.  The ShadowSpace rows time
+// the legacy encoding's reference space (tests/support/reference_shadow.hpp).
 #include <benchmark/benchmark.h>
 
 #include "core/race_report.hpp"
 #include "core/spplus.hpp"
+#include "reference_shadow.hpp"
 #include "shadow/packed_shadow.hpp"
-#include "shadow/shadow_space.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -135,27 +136,51 @@ BENCHMARK(BM_PackedEpochClear)->Arg(16)->Arg(1024);
 
 // ---- Access kernel and race log (core/access_kernel.hpp) ------------------
 // SP+ is driven through its Tool callbacks with no engine, so only the
-// detector's own per-access work is timed.  Each iteration is one 8-byte
-// access at byte granularity over a 512-byte window.
+// detector's own per-access work is timed.  Each iteration is one access at
+// byte granularity over a 512-byte window (8 bytes unless the row's
+// argument gives the size).
 
 constexpr std::uintptr_t kWindow = 0x300000;
 
 void BM_SpPlusAccessRaceFree(benchmark::State& state) {
   // The root strand rewrites its own bytes: every prior is in its S bag.
+  const auto size = static_cast<std::size_t>(state.range(0));
   rader::RaceLog log;
   rader::SpPlusDetector sp(&log);
   sp.on_run_begin();
   sp.on_frame_enter(0, rader::kInvalidFrame, rader::FrameKind::kRoot, 0);
   std::uintptr_t off = 0;
   for (auto _ : state) {
-    sp.on_access(rader::AccessKind::kWrite, kWindow + off, 8, false, 0,
+    sp.on_access(rader::AccessKind::kWrite, kWindow + off, size, false, 0,
                  rader::SrcTag{"write"});
-    off = (off + 8) & 511;
+    off = (off + size) & 511;
   }
   if (log.any()) state.SkipWithError("race-free loop reported a race");
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SpPlusAccessRaceFree);
+BENCHMARK(BM_SpPlusAccessRaceFree)->Arg(8)->Arg(24)->Arg(64);
+
+void BM_SpPlusClear(benchmark::State& state) {
+  // A freed object's lifetime in pbfs (24-byte Bag::Nodes): one write, then
+  // the clear that forgets it, so every clear finds recorded bytes.  The
+  // clear alone costs this row minus BM_SpPlusAccessRaceFree at the same
+  // size (pausing the timer per iteration would cost more than the clear).
+  const auto size = static_cast<std::size_t>(state.range(0));
+  rader::RaceLog log;
+  rader::SpPlusDetector sp(&log);
+  sp.on_run_begin();
+  sp.on_frame_enter(0, rader::kInvalidFrame, rader::FrameKind::kRoot, 0);
+  std::uintptr_t off = 0;
+  for (auto _ : state) {
+    sp.on_access(rader::AccessKind::kWrite, kWindow + off, size, false, 0,
+                 rader::SrcTag{"write"});
+    sp.on_clear(kWindow + off, size);
+    off = (off + size) & 511;
+  }
+  if (log.any()) state.SkipWithError("race-free loop reported a race");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpPlusClear)->Arg(24);
 
 void BM_SpPlusAccessRepeatedRace(benchmark::State& state) {
   // A spawned child wrote the window and returned unsynced, so each root

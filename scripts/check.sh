@@ -275,7 +275,8 @@ if [[ "$FULL" == 1 ]]; then
     --json=build/BENCH_sweep.json
   ./build/bench/fig7_overhead --scale=0.02 --reps=1
   # Production-footprint shadow gates: the packed encoding must win the
-  # checkpointed sweep by >= 3x over the legacy per-page map, and sampling
+  # checkpointed sweep by >= 3x over the legacy per-page map (the reference
+  # shadow in tests/support, linked into the bench), and sampling
   # at the default P=0.01 must stay within 1.10x geomean of uninstrumented
   # on the compute-dominated app benches.
   ./build/bench/large_footprint --check-ratio=3 \

@@ -67,7 +67,7 @@ void SpBagsDetector::on_access(AccessKind kind, std::uintptr_t addr,
   const dsu::Node node = stack_.back().node;
   // A prior access races iff it sits in a P bag; one in an S bag is
   // replaced.
-  const auto resolve = [this](shadow::AccessShadow::Payload prior) {
+  const auto resolve = [this](shadow::PackedShadow::Payload prior) {
     const dsu::BagKind bag = ds_.meta_of(prior).kind;
     return PriorFacts{bag == dsu::BagKind::kP, bag == dsu::BagKind::kS,
                       static_cast<FrameId>(prior)};

@@ -113,7 +113,7 @@ void SpOrderDetector::on_access(AccessKind kind, std::uintptr_t addr,
                                 std::size_t size, bool, ViewId, SrcTag tag) {
   // A prior strand races iff it is not in series with the current one; a
   // prior in series is replaced.
-  const auto resolve = [this](shadow::AccessShadow::Payload prior) {
+  const auto resolve = [this](shadow::PackedShadow::Payload prior) {
     const bool series = in_series_with_current(prior);
     return PriorFacts{!series, series, strand_frame_[prior]};
   };

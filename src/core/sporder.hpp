@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "core/race_report.hpp"
-#include "shadow/access_shadow.hpp"
+#include "shadow/packed_shadow.hpp"
 #include "support/order_maintenance.hpp"
 #include "tool/tool.hpp"
 
@@ -89,7 +89,7 @@ class SpOrderDetector final : public Tool {
   std::vector<std::pair<OmNode, OmNode>> strands_;
   std::vector<FrameId> strand_frame_;
   std::uint32_t top_ref_ = 0;  // current strand's registry slot
-  shadow::AccessShadow shadow_;
+  shadow::PackedShadow shadow_;
   RaceLog* log_;
 };
 

@@ -104,7 +104,7 @@ void SpPlusDetector::on_access(AccessKind kind, std::uintptr_t addr,
   // A prior in series (S bag) is replaced, and so, for a view-aware access
   // inside a Reduce invocation, is a prior on the view being merged (same
   // vid): the reduce strand serializes after it.
-  const auto resolve = [&](shadow::AccessShadow::Payload prior) {
+  const auto resolve = [&](shadow::PackedShadow::Payload prior) {
     const auto& meta = ds_.meta_of(prior);
     const bool same_view = view_aware && meta.vid == cur_vid;
     return PriorFacts{meta.kind == dsu::BagKind::kP && !same_view,

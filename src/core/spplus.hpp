@@ -33,7 +33,7 @@
 
 #include "core/race_report.hpp"
 #include "dsu/disjoint_set.hpp"
-#include "shadow/access_shadow.hpp"
+#include "shadow/packed_shadow.hpp"
 #include "tool/tool.hpp"
 
 namespace rader {
@@ -72,7 +72,7 @@ class SpPlusDetector final : public Tool {
   unsigned granule_bits_;
   dsu::DisjointSets ds_;
   std::vector<FrameState> stack_;
-  shadow::AccessShadow shadow_;
+  shadow::PackedShadow shadow_;
   RaceLog* log_;
 };
 

@@ -15,7 +15,7 @@
 // carrying the set of eliciting specifications.
 //
 // Thread-safety model: the detector stack (SerialEngine, SpPlusDetector,
-// ShadowSpace, the DSU) has no global state, and the engine installation is
+// PackedShadow, the DSU) has no global state, and the engine installation is
 // thread-local (Engine::Scope), so concurrent serial-engine runs never
 // interact.  The program under test, however, usually mutates captured state
 // when it runs, so workers must not share one instance: the sweep takes a

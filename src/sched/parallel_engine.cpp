@@ -7,6 +7,7 @@
 #include <sched.h>
 #endif
 
+#include "support/hash.hpp"
 #include "support/trace.hpp"
 #include "tool/tool.hpp"
 
@@ -234,6 +235,13 @@ void ParallelEngine::run(FnView root) {
   reducers_.clear();  // helpers are parked: nothing else can touch it
   run_id_ = next_run_id();
   record_accesses_ = tool_ != nullptr && tool_->wants_accesses();
+  if (record_accesses_) {
+    for (auto& wk : workers_) {
+      if (!wk->dedup) {
+        wk->dedup = std::make_unique<AccessDedup[]>(kDedupEntries);
+      }
+    }
+  }
 
   WorkerState& w = *workers_[0];
   tl_worker_ = &w;
@@ -680,16 +688,16 @@ void ParallelEngine::access(AccessKind kind, std::uintptr_t addr,
   if (!record_accesses_ || tl_worker_ == nullptr) return;
   WorkerState& w = *tl_worker_;
   if (w.suppress > 0 || w.frames.empty()) return;
-  // Per-strand dedup through the worker's private shadow shard: the payload
-  // keys (strand epoch, access kind) on the access's first byte, so a hot
-  // loop records one event per strand instead of millions.  Best-effort by
+  // Per-strand dedup through the worker's private cache: the tag keys
+  // (strand epoch, access kind) on the access's first byte, so a hot loop
+  // records one event per strand instead of millions.  Best-effort by
   // contract (ParallelTool::wants_accesses): at least one event per
   // (strand, location, kind) survives; multiplicity does not.
-  const shadow::ShadowSpace::Payload payload =
-      (w.strand_epoch << 1) |
-      (kind == AccessKind::kWrite ? 1u : 0u);
-  if (w.shadow.get(addr) == payload) return;
-  w.shadow.set(addr, payload);
+  const std::uint64_t strand_tag = (std::uint64_t{w.strand_epoch} << 1) |
+                                   (kind == AccessKind::kWrite ? 1u : 0u);
+  AccessDedup& seen = w.dedup[mix64(addr) & (kDedupEntries - 1)];
+  if (seen.addr == addr && seen.tag == strand_tag) return;
+  seen = {addr, strand_tag};
   ShardEvent e{ShardEvent::Kind::kAccess, static_cast<std::uint8_t>(kind)};
   e.view_aware = w.view_aware_depth > 0;
   e.addr = addr;

@@ -46,7 +46,6 @@
 #include "runtime/engine.hpp"
 #include "runtime/hyperobject.hpp"
 #include "sched/worksteal_deque.hpp"
-#include "shadow/shadow_space.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "tool/shard.hpp"
@@ -143,6 +142,12 @@ class ParallelEngine final : public Engine {
     std::vector<JoinItem> items;
   };
 
+  struct AccessDedup {
+    std::uintptr_t addr;
+    std::uint64_t tag;  // (strand epoch << 1) | is_write; 0 = never set
+  };
+  static constexpr std::size_t kDedupEntries = 1024;
+
   struct WorkerState {
     sched::WorkStealDeque deque;
     Rng rng;
@@ -151,11 +156,14 @@ class ParallelEngine final : public Engine {
     // Per-worker accounting, folded into the caller's metrics sink at the
     // end of each run (sweep workers fold theirs the same way).
     metrics::Registry metrics;
-    // Per-worker access-dedup shard: maps addresses to the worker strand
-    // that last recorded them so hot loops don't flood the event shards.
-    // Private to the worker; epochs are monotonic across runs, so stale
-    // entries never match and the space never needs clearing.
-    shadow::ShadowSpace shadow;
+    // Per-worker access dedup, so hot loops don't flood the event shards:
+    // a direct-mapped cache from an access's first byte to the tag
+    // (strand epoch, kind) that last recorded it.  A hit drops the access;
+    // a collision only evicts, so the next access to the evicted address
+    // re-emits.  Private to the worker; epochs are monotonic across runs,
+    // so stale entries never match and the cache never needs clearing.
+    // Allocated by the first run that records accesses.
+    std::unique_ptr<AccessDedup[]> dedup;
     std::uint32_t strand_epoch = 1;
     // Nested engine-internal user code (Reduce / CreateIdentity) whose
     // events have no counterpart in the serial no-steal stream.

@@ -1,5 +1,6 @@
 #include "shadow/packed_shadow.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/hash.hpp"
@@ -8,8 +9,6 @@
 namespace rader::shadow {
 
 namespace {
-
-constexpr std::uint64_t kAllEmptySlot = ~std::uint64_t{0};
 
 void pages_live_delta(std::int64_t n) {
   if (n != 0) metrics::gauge_add(metrics::Gauge::kShadowPagesLive, n);
@@ -178,27 +177,21 @@ PackedShadow::Chunk* PackedShadow::unshare_chunk(Chunk* chunk) {
   return fresh;
 }
 
-// ---- Slot access -----------------------------------------------------------
+// ---- Page runs -------------------------------------------------------------
 
-std::uint64_t PackedShadow::load_slot(std::uintptr_t g) {
-  const std::uintptr_t pkey = page_key(g);
-  if (pkey != cached_pkey_) {
-    Chunk* chunk = find_chunk(chunk_key(g));
-    if (chunk == nullptr) return kAllEmptySlot;
-    Page* page = chunk->pages[page_index(g)].load(std::memory_order_acquire);
-    if (page == nullptr) return kAllEmptySlot;
-    cached_pkey_ = pkey;
-    cached_page_ = page;
-  }
-  // The cached page may have gone stale since it was cached (epoch bump):
-  // validate on every hit — a stale page reads as all-empty.
-  if (cached_page_->epoch != epoch_) return kAllEmptySlot;
-  return cached_page_->slots[slot_index(g)];
+const PackedShadow::Slot* PackedShadow::read_run_slow(std::uintptr_t g) {
+  Chunk* chunk = find_chunk(chunk_key(g));
+  if (chunk == nullptr) return nullptr;
+  Page* page = chunk->pages[page_index(g)].load(std::memory_order_acquire);
+  if (page == nullptr) return nullptr;
+  cached_pkey_ = page_key(g);
+  cached_page_ = page;
+  // A stale page reads as all-empty.
+  return page->epoch == epoch_ ? &page->slots[slot_index(g)] : nullptr;
 }
 
-std::uint64_t* PackedShadow::writable_slot(std::uintptr_t g) {
+PackedShadow::Slot* PackedShadow::write_run_slow(std::uintptr_t g) {
   const std::uintptr_t pkey = page_key(g);
-  if (pkey == wcached_pkey_) return &wcached_slots_[slot_index(g)];
   Chunk* chunk = ensure_chunk(chunk_key(g));
   if (chunk->refs > 1) chunk = unshare_chunk(chunk);
   std::atomic<Page*>& cell = chunk->pages[page_index(g)];
@@ -247,16 +240,15 @@ std::uint64_t* PackedShadow::writable_slot(std::uintptr_t g) {
   return &page->slots[slot_index(g)];
 }
 
-void PackedShadow::clear_granule(std::uintptr_t g) {
-  if (page_key(g) != wcached_pkey_) {
-    // Absent or stale pages already read as empty: do not materialize a
-    // page just to store emptiness into it.
-    Chunk* chunk = find_chunk(chunk_key(g));
-    if (chunk == nullptr) return;
-    Page* page = chunk->pages[page_index(g)].load(std::memory_order_relaxed);
-    if (page == nullptr || page->epoch != epoch_) return;
-  }
-  *writable_slot(g) = kAllEmptySlot;
+void PackedShadow::clear_run(std::uintptr_t g, std::size_t n) {
+  RADER_DCHECK(n <= run_length(g));
+  const Slot* run = read_run(g);
+  if (run == nullptr) return;  // absent or stale: already empty
+  std::size_t i = 0;
+  while (i < n && run[i] == kEmptySlot) ++i;
+  if (i == n) return;  // nothing to forget: leave a shared page shared
+  Slot* out = write_run(g);
+  std::fill(out + i, out + n, kEmptySlot);
 }
 
 // ---- Bulk operations -------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/spbags.hpp"
@@ -15,7 +16,8 @@
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
 #include "runtime/run.hpp"
-#include "shadow/access_shadow.hpp"
+#include "reference_shadow.hpp"
+#include "shadow/packed_shadow.hpp"
 #include "spec/steal_spec.hpp"
 
 namespace rader {
@@ -27,6 +29,39 @@ RaceLog check_spplus(FnView program, unsigned granule_bits) {
   spec::NoSteal none;
   run_serial(program, &detector, &none);
   return log;
+}
+
+/// One access of a two-strand replay: strand 1 runs logically in parallel
+/// with strand 2, and each strand's own priors are in series.
+struct StrandAccess {
+  shadow::PackedShadow::Payload strand;
+  AccessKind kind;
+  const void* addr;
+  std::size_t size;
+};
+
+/// Replay `accesses` through the production kernel over the packed slot
+/// and through the reference per-granule loop over the legacy pair;
+/// returns both logs (packed first).
+std::pair<RaceLog, RaceLog> replay_both_encodings(
+    unsigned granule_bits, const std::vector<StrandAccess>& accesses) {
+  std::pair<RaceLog, RaceLog> logs;
+  shadow::PackedShadow packed;
+  shadow::ReferenceShadow legacy;
+  for (const StrandAccess& a : accesses) {
+    const auto resolve = [&a](shadow::PackedShadow::Payload prior) {
+      return PriorFacts{prior != a.strand, prior == a.strand,
+                        static_cast<FrameId>(prior)};
+    };
+    const AccessPolicy policy{a.strand, static_cast<FrameId>(a.strand),
+                              resolve};
+    const auto addr = reinterpret_cast<std::uintptr_t>(a.addr);
+    detect_access(policy, packed, logs.first, granule_bits, a.kind, addr,
+                  a.size, false, "replay");
+    reference_detect_access(policy, legacy, logs.second, granule_bits, a.kind,
+                            addr, a.size, false, "replay");
+  }
+  return logs;
 }
 
 TEST(Granularity, WordCellsStillCatchTrueRaces) {
@@ -146,31 +181,31 @@ TEST(Granularity, DistinctRacesInOneGranuleKeepDistinctReports) {
 TEST(Granularity, DistinctReportsSurviveBothSlotEncodings) {
   // The packed slot stores the access extent in a 4-bit field; the report
   // address must come from the CURRENT access, never from that (possibly
-  // clamped) stored extent — so the byte addresses are identical under both
-  // encodings.
+  // clamped) stored extent — so the byte addresses match the legacy
+  // reader/writer pair's, which stores no extent at all.
   alignas(8) char buf[8] = {};
-  const shadow::SlotEncoding saved = shadow::default_encoding();
-  for (const auto enc :
-       {shadow::SlotEncoding::kPacked, shadow::SlotEncoding::kLegacy}) {
-    shadow::set_default_encoding(enc);
-    const RaceLog log = check_spplus(
-        [&] {
-          spawn([&] { shadow_write(&buf[0], 8, SrcTag{"word writer"}); });
-          shadow_read(&buf[1], 1, SrcTag{"byte read"});
-          shadow_read(&buf[5], 1, SrcTag{"byte read"});
-          sync();
-        },
-        3);
-    const int which = static_cast<int>(enc);
-    ASSERT_EQ(log.determinacy_races().size(), 2u) << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[0].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[1]))
-        << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[1].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[5]))
-        << "encoding " << which;
-  }
-  shadow::set_default_encoding(saved);
+  const RaceLog log = check_spplus(
+      [&] {
+        spawn([&] { shadow_write(&buf[0], 8, SrcTag{"word writer"}); });
+        shadow_read(&buf[1], 1, SrcTag{"byte read"});
+        shadow_read(&buf[5], 1, SrcTag{"byte read"});
+        sync();
+      },
+      3);
+  ASSERT_EQ(log.determinacy_races().size(), 2u);
+  EXPECT_EQ(log.determinacy_races()[0].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[1]));
+  EXPECT_EQ(log.determinacy_races()[1].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[5]));
+
+  const auto [packed, legacy] = replay_both_encodings(
+      3, {{1, AccessKind::kWrite, &buf[0], 8},
+          {2, AccessKind::kRead, &buf[1], 1},
+          {2, AccessKind::kRead, &buf[5], 1}});
+  ASSERT_EQ(packed.determinacy_races().size(), 2u);
+  EXPECT_EQ(packed.determinacy_races()[1].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[5]));
+  EXPECT_EQ(packed.to_json(), legacy.to_json());
 }
 
 TEST(Granularity, OffsetsBeyondThePackedExtentFieldKeepTrueAddresses) {
@@ -179,28 +214,31 @@ TEST(Granularity, OffsetsBeyondThePackedExtentFieldKeepTrueAddresses) {
   // saturation must stay diagnostic: a race at offset 29 still reports the
   // true byte address, not an address clamped to the extent field's reach.
   alignas(32) char buf[32] = {};
-  const shadow::SlotEncoding saved = shadow::default_encoding();
-  for (const auto enc :
-       {shadow::SlotEncoding::kPacked, shadow::SlotEncoding::kLegacy}) {
-    shadow::set_default_encoding(enc);
-    const RaceLog log = check_spplus(
-        [&] {
-          spawn([&] { shadow_write(&buf[0], 32, SrcTag{"granule writer"}); });
-          shadow_read(&buf[1], 1, SrcTag{"byte read"});
-          shadow_read(&buf[29], 1, SrcTag{"byte read"});
-          sync();
-        },
-        5);
-    const int which = static_cast<int>(enc);
-    ASSERT_EQ(log.determinacy_races().size(), 2u) << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[0].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[1]))
-        << "encoding " << which;
-    EXPECT_EQ(log.determinacy_races()[1].addr,
-              reinterpret_cast<std::uintptr_t>(&buf[29]))
-        << "encoding " << which;
-  }
-  shadow::set_default_encoding(saved);
+  const RaceLog log = check_spplus(
+      [&] {
+        spawn([&] { shadow_write(&buf[0], 32, SrcTag{"granule writer"}); });
+        shadow_read(&buf[1], 1, SrcTag{"byte read"});
+        shadow_read(&buf[29], 1, SrcTag{"byte read"});
+        sync();
+      },
+      5);
+  ASSERT_EQ(log.determinacy_races().size(), 2u);
+  EXPECT_EQ(log.determinacy_races()[0].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[1]));
+  EXPECT_EQ(log.determinacy_races()[1].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[29]));
+
+  // The stored extent saturates, and the legacy pair agrees regardless.
+  const auto [packed, legacy] = replay_both_encodings(
+      5, {{1, AccessKind::kWrite, &buf[0], 32},
+          {2, AccessKind::kRead, &buf[29], 1},
+          {1, AccessKind::kWrite, &buf[30], 1}});
+  ASSERT_EQ(packed.determinacy_races().size(), 2u);
+  EXPECT_EQ(packed.determinacy_races()[0].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[29]));
+  EXPECT_EQ(packed.determinacy_races()[1].addr,
+            reinterpret_cast<std::uintptr_t>(&buf[30]));
+  EXPECT_EQ(packed.to_json(), legacy.to_json());
 }
 
 TEST(Granularity, AccessAtTopOfAddressSpaceDoesNotWrap) {

@@ -28,7 +28,7 @@
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
 #include "runtime/serial_engine.hpp"
-#include "shadow/shadow_space.hpp"
+#include "reference_shadow.hpp"
 #include "spec/steal_spec.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"

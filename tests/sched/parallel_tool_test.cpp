@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -18,7 +19,9 @@
 #include "reducers/monoid.hpp"
 #include "reducers/reducer.hpp"
 #include "runtime/api.hpp"
+#include "runtime/serial_engine.hpp"
 #include "sched/parallel_engine.hpp"
+#include "spec/steal_spec.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -152,6 +155,84 @@ TEST(ParallelTool, UntrackedRunDoesNotLeakIntoTheNextOne) {
   }
   EXPECT_EQ(outer.snapshot().counter(metrics::Counter::kEngineTasks),
             static_cast<std::uint64_t>(kSpawns));
+}
+
+// ---- Access delivery to tools that opt in ----------------------------------
+
+// Annotate-only cells (never stored to, so the program is TSan-clean).
+// More cells than the engine's per-worker dedup cache has entries, so
+// entries collide and evict.
+constexpr int kCells = 3000;
+long g_cells[kCells];
+
+// Each spawned child sweeps a window of cells twice — the second sweep is
+// what per-strand dedup drops — and the continuation writes into the
+// neighbouring child's window.
+void access_program() {
+  for (int b = 0; b < 4; ++b) {
+    for (int i = 0; i < 6; ++i) {
+      const int base = (b * 6 + i) * 97 % kCells;
+      spawn([base] {
+        for (int pass = 0; pass < 2; ++pass) {
+          for (int c = 0; c < 1200; ++c) {
+            shadow_read(&g_cells[(base + c) % kCells], sizeof(long));
+            shadow_write(&g_cells[(base + 2 * c) % kCells], sizeof(long));
+          }
+        }
+      });
+      shadow_write(&g_cells[(base + 600) % kCells], sizeof(long));
+      shadow_write(&g_cells[(base + 600) % kCells], sizeof(long));
+    }
+    sync();
+    shadow_read(&g_cells[b], sizeof(long));
+  }
+}
+
+// Records every delivered access as (strand, address, kind), numbering
+// strands by the control events (enter, return, sync) of the stream.
+class AccessSetRecorder final : public ParallelTool {
+ public:
+  bool wants_accesses() const override { return true; }
+
+  std::set<std::tuple<std::uint64_t, std::uintptr_t, int>> accesses;
+  std::uint64_t deliveries = 0;
+
+  void on_frame_enter(FrameId, FrameId, FrameKind, ViewId) override {
+    ++strand_;
+  }
+  void on_frame_return(FrameId, FrameId, FrameKind) override { ++strand_; }
+  void on_sync(FrameId) override { ++strand_; }
+  void on_access(AccessKind kind, std::uintptr_t addr, std::size_t, bool,
+                 ViewId, SrcTag) override {
+    accesses.emplace(strand_, addr, static_cast<int>(kind));
+    ++deliveries;
+  }
+
+ private:
+  std::uint64_t strand_ = 0;
+};
+
+TEST(ParallelTool, DedupedAccessesKeepEveryStrandLocationAndKind) {
+  // The wants_accesses contract: multiplicity may drop, but every
+  // (strand, location, kind) of the serial no-steal stream arrives.
+  AccessSetRecorder serial;
+  {
+    spec::NoSteal none;
+    SerialEngine engine(&serial, &none);
+    engine.run([] { access_program(); });
+  }
+  ASSERT_GT(serial.accesses.size(), 1000u);
+  for (const unsigned jobs : {1u, 2u, 4u}) {
+    AccessSetRecorder par;
+    ParallelEngine engine(jobs);
+    engine.set_tool(&par);
+    engine.run([] { access_program(); });
+    EXPECT_TRUE(par.accesses == serial.accesses)
+        << "jobs=" << jobs << ": " << par.accesses.size() << " vs "
+        << serial.accesses.size() << " (strand, address, kind) triples";
+    EXPECT_LT(par.deliveries, serial.deliveries)
+        << "jobs=" << jobs << ": repeats within a strand were not dropped";
+  }
 }
 
 // Trace buffers are owned by the Session, not the engine: events recorded

@@ -1,4 +1,4 @@
-#include "shadow/shadow_space.hpp"
+#include "reference_shadow.hpp"
 
 #include <gtest/gtest.h>
 
