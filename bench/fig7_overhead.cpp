@@ -105,7 +105,7 @@ double dormant_phase_ns() {
 /// (recorded + dropped: the ring may wrap, the hooks still fired).
 std::uint64_t traced_event_count(rader::apps::Workload& w) {
   rader::trace::Session session;
-  rader::trace::Scope scope(&session, w.name);
+  rader::obs::Scope scope(&session, w.name);
   rader::spec::NoSteal none;
   rader::RaceLog log;
   rader::SpPlusDetector spplus(&log);

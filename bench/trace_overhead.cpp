@@ -31,7 +31,7 @@ struct TracedRun {
 TracedRun time_spplus_traced(rader::apps::Workload& w, int reps) {
   TracedRun r;
   rader::trace::Session session;
-  rader::trace::Scope scope(&session, w.name);
+  rader::obs::Scope scope(&session, w.name);
   rader::spec::NoSteal none;
   rader::RaceLog log;
   rader::SpPlusDetector spplus(&log);

@@ -29,7 +29,11 @@ RaceLog Rader::check_view_read(FnView program,
   PeerSetDetector detector(&log);
   spec::NoSteal no_steal;
   auto sampler = maybe_sampler(&detector, sampling, no_steal.describe());
-  run_serial(program, sampler ? (Tool*)sampler.get() : &detector, &no_steal);
+  {
+    prof::Phase phase("execute", metrics::Phase::kExecute);
+    run_serial(program, sampler ? (Tool*)sampler.get() : &detector,
+               &no_steal);
+  }
   return log;
 }
 
@@ -39,7 +43,7 @@ RaceLog Rader::check_parallel(FnView program, unsigned workers) {
   ParallelEngine engine(workers);
   engine.set_tool(&tool);
   {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
+    prof::Phase phase("execute", metrics::Phase::kExecute);
     engine.run(program);
   }
   return log;
@@ -52,7 +56,7 @@ RaceLog Rader::check_determinacy(FnView program,
   SpPlusDetector detector(&log);
   auto sampler = maybe_sampler(&detector, sampling, steal_spec.describe());
   {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
+    prof::Phase phase("execute", metrics::Phase::kExecute);
     run_serial(program, sampler ? (Tool*)sampler.get() : &detector,
                &steal_spec);
   }
@@ -66,7 +70,11 @@ RaceLog Rader::check_spbags(FnView program, const SamplingConfig& sampling) {
   SpBagsDetector detector(&log);
   spec::NoSteal no_steal;
   auto sampler = maybe_sampler(&detector, sampling, no_steal.describe());
-  run_serial(program, sampler ? (Tool*)sampler.get() : &detector, &no_steal);
+  {
+    prof::Phase phase("execute", metrics::Phase::kExecute);
+    run_serial(program, sampler ? (Tool*)sampler.get() : &detector,
+               &no_steal);
+  }
   return log;
 }
 
@@ -112,8 +120,7 @@ Rader::ExhaustiveResult Rader::check_exhaustive(FnView program,
 
   // Probe run: learn K and D (and find view-read races with Peer-Set).
   {
-    metrics::PhaseTimer timer(metrics::Phase::kProbe);
-    prof::Phase probe_phase("probe");
+    prof::Phase probe_phase("probe", metrics::Phase::kProbe);
     PeerSetDetector peerset(&result.log);
     spec::NoSteal no_steal;
     auto sampler = maybe_sampler(&peerset, sampling, no_steal.describe());
@@ -142,8 +149,7 @@ Rader::ExhaustiveResult Rader::check_exhaustive(
   // races with Peer-Set.
   auto probe_program = make_program();
   {
-    metrics::PhaseTimer timer(metrics::Phase::kProbe);
-    prof::Phase probe_phase("probe");
+    prof::Phase probe_phase("probe", metrics::Phase::kProbe);
     PeerSetDetector peerset(&result.log);
     spec::NoSteal no_steal;
     auto sampler =

@@ -329,7 +329,7 @@ bool race_log_from_json(const std::string& json, RaceLog* out,
   // happened in its process and travel in its metrics snapshot.
   out->clear();
   {
-    metrics::Scope metrics_off(nullptr);
+    obs::Scope metrics_off(static_cast<metrics::Registry*>(nullptr));
     for (const auto& r : view_reads) out->report_view_read(r);
     for (const auto& r : determinacies) out->report_determinacy(r);
     out->add_unstored_occurrences(vr_total - vr_stored,

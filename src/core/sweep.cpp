@@ -21,188 +21,163 @@
 #include "support/crash.hpp"
 #include "support/faultpoint.hpp"
 #include "support/profile.hpp"
-#include "support/rolling_rate.hpp"
 #include "support/trace.hpp"
 
 namespace rader {
 
 namespace {
 
-/// The sweep's monitor thread: one loop serving every live consumer —
-/// the `--progress` heartbeat (rolling-window rate/ETA), the JSONL
-/// metrics sampler (`--metrics-out`), the queue-depth gauge, and the hang
-/// watchdog (`--watchdog-ms`).  Everything it reads is wait-free for the
-/// workers: per-worker completion counters are relaxed atomics and the
-/// metrics snapshot comes from the workers' SharedSnapshot slots.
-class SweepMonitor {
+/// The in-process sweep's monitor thread: ticks the SweepMonitor at its
+/// cadence, and finishes it once the workers have joined (destruction).
+/// Everything the monitor reads is wait-free for the workers: per-worker
+/// completion counters are relaxed atomics and the live metrics come from
+/// the workers' SharedSnapshot slots.
+class MonitorThread {
  public:
-  static bool wanted(const SweepOptions& options) {
-    return options.progress || options.metrics_out != nullptr ||
-           options.watchdog_ms > 0;
-  }
+  explicit MonitorThread(sweep_internal::SweepMonitor* monitor)
+      : monitor_(monitor), thread_([this] { loop(); }) {}
 
-  SweepMonitor(const SweepOptions& options, std::size_t total,
-               std::vector<std::atomic<std::uint64_t>>* per_worker,
-               std::atomic<std::uint64_t>* racy,
-               const metrics::SharedSnapshot* live,
-               metrics::Registry* monitor_reg)
-      : options_(options),
-        total_(total),
-        per_worker_(per_worker),
-        racy_(racy),
-        live_(live),
-        monitor_reg_(monitor_reg),
-        out_(options.progress_out != nullptr ? *options.progress_out
-                                             : std::cerr),
-        sampler_(options.metrics_out,
-                 std::max(1u, options.metrics_interval_ms)),
-        heartbeat_interval_ms_(std::max(1u, options.progress_interval_ms)) {
-    // Tick at the fastest cadence any consumer needs; each consumer then
-    // throttles itself (the sampler internally, the heartbeat here).
-    unsigned tick = heartbeat_interval_ms_;
-    if (options.metrics_out != nullptr) {
-      tick = std::min(tick, std::max(1u, options.metrics_interval_ms));
-    }
-    if (options.watchdog_ms > 0) {
-      tick = std::min(tick, std::max(1u, options.watchdog_ms / 4));
-    }
-    tick_ms_ = std::max(1u, tick);
-    rate_.sample(metrics::now_nanos(), 0);  // ETA baseline (first interval)
-    last_change_nanos_ = metrics::now_nanos();
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~SweepMonitor() {
+  ~MonitorThread() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
     }
     cv_.notify_all();
     thread_.join();
-    // Workers have joined by the time the owner destroys the monitor, so
-    // the final observations are exact, not approximate.
-    const std::uint64_t done = total_done();
-    monitor_reg_->gauge_set(metrics::Gauge::kSweepQueueDepth,
-                            static_cast<std::int64_t>(total_ - done));
-    if (options_.progress) out_ << line(done, /*final=*/true) << std::endl;
-    if (options_.metrics_out != nullptr) {
-      sampler_.final_sample(done, total_, live_->read());
-    }
+    monitor_->finish();
   }
 
-  SweepMonitor(const SweepMonitor&) = delete;
-  SweepMonitor& operator=(const SweepMonitor&) = delete;
+  MonitorThread(const MonitorThread&) = delete;
+  MonitorThread& operator=(const MonitorThread&) = delete;
 
  private:
   void loop() {
     std::unique_lock<std::mutex> lock(mu_);
-    while (!cv_.wait_for(lock, std::chrono::milliseconds(tick_ms_),
+    while (!cv_.wait_for(lock, std::chrono::milliseconds(monitor_->tick_ms()),
                          [this] { return stop_; })) {
-      tick();
+      monitor_->tick();
     }
   }
 
-  void tick() {
-    const std::uint64_t done = total_done();
-    const std::uint64_t now = metrics::now_nanos();
-    monitor_reg_->gauge_set(metrics::Gauge::kSweepQueueDepth,
-                            static_cast<std::int64_t>(total_ - done));
-    if (options_.progress &&
-        now - last_heartbeat_nanos_ >=
-            std::uint64_t{heartbeat_interval_ms_} * 1'000'000) {
-      last_heartbeat_nanos_ = now;
-      rate_.sample(now, done);
-      out_ << line(done, /*final=*/false) << std::endl;
-    }
-    if (options_.metrics_out != nullptr) {
-      sampler_.maybe_sample(done, total_, live_->read());
-    }
-    if (options_.watchdog_ms > 0) {
-      if (done != last_done_) {
-        last_done_ = done;
-        last_change_nanos_ = now;
-        armed_ = true;
-      } else if (armed_ && done < total_ &&
-                 now - last_change_nanos_ >=
-                     std::uint64_t{options_.watchdog_ms} * 1'000'000) {
-        // No spec completed within the deadline: leave a post-mortem and
-        // disarm until progress resumes (one report per stall episode).
-        crash::write_postmortem(options_.watchdog_fd,
-                                "watchdog: sweep stalled");
-        monitor_reg_->bump(metrics::Counter::kPostmortemDumps);
-        armed_ = false;
-      }
-    }
-  }
-
-  std::uint64_t total_done() const {
-    std::uint64_t done = 0;
-    for (const auto& w : *per_worker_) {
-      done += w.load(std::memory_order_relaxed);
-    }
-    return done;
-  }
-
-  std::string line(std::uint64_t done, bool final) const {
-    std::ostringstream workers;
-    for (std::size_t w = 0; w < per_worker_->size(); ++w) {
-      workers << (w == 0 ? "" : " ") << 'w' << w << ':'
-              << (*per_worker_)[w].load(std::memory_order_relaxed);
-    }
-    const std::uint64_t remaining = total_ > done ? total_ - done : 0;
-    char perf[96];
-    if (final) {
-      // The summary reports the true whole-run average (clamped elapsed
-      // time: a sub-millisecond sweep must not print inf).
-      const double secs = std::max(clock_.seconds(), 1e-9);
-      std::snprintf(perf, sizeof(perf), "%.1f specs/s, %.2fs elapsed",
-                    static_cast<double>(done) / secs, secs);
-    } else {
-      // Live rate/ETA come from the rolling window, which tracks the
-      // current completion regime of front-loaded prefix sweeps.  Until
-      // the window has a usable rate (first interval, or a stall) the ETA
-      // is unknown — printed as "--", never nan/inf.
-      const double rate = rate_.rate_per_sec();
-      if (rate > 0.0) {
-        std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta %.1fs", rate,
-                      rate_.eta_seconds(remaining));
-      } else {
-        std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta --", rate);
-      }
-    }
-    std::ostringstream os;
-    os << (final ? "sweep done: " : "sweep: ") << done << '/' << total_
-       << " specs (" << perf << ", racy "
-       << racy_->load(std::memory_order_relaxed) << ") [" << workers.str()
-       << ']';
-    return os.str();
-  }
-
-  const SweepOptions& options_;
-  const std::size_t total_;
-  std::vector<std::atomic<std::uint64_t>>* per_worker_;
-  std::atomic<std::uint64_t>* racy_;
-  const metrics::SharedSnapshot* live_;
-  metrics::Registry* monitor_reg_;
-  std::ostream& out_;
-  MetricsSampler sampler_;
-  const unsigned heartbeat_interval_ms_;
-  unsigned tick_ms_;
-  support::RollingRate rate_;
-  std::uint64_t last_heartbeat_nanos_ = 0;
-  std::uint64_t last_done_ = 0;
-  std::uint64_t last_change_nanos_ = 0;
-  bool armed_ = true;
-  metrics::Stopwatch clock_;
-  std::thread thread_;
-  mutable std::mutex mu_;
+  sweep_internal::SweepMonitor* monitor_;
+  std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
+  std::thread thread_;  // last: started once the members above exist
 };
 
 }  // namespace
 
 namespace sweep_internal {
+
+bool SweepMonitor::wanted(const SweepOptions& options) {
+  return options.progress || options.metrics_out != nullptr ||
+         options.watchdog_ms > 0;
+}
+
+SweepMonitor::SweepMonitor(const SweepOptions& options, std::size_t total,
+                           std::function<SweepCounts()> counts,
+                           std::function<metrics::Snapshot()> live,
+                           metrics::Registry* reg)
+    : options_(options),
+      total_(total),
+      counts_(std::move(counts)),
+      live_(std::move(live)),
+      reg_(reg),
+      out_(options.progress_out != nullptr ? *options.progress_out
+                                           : std::cerr),
+      sampler_(options.metrics_out, std::max(1u, options.metrics_interval_ms)),
+      heartbeat_interval_ms_(std::max(1u, options.progress_interval_ms)) {
+  // Tick at the fastest cadence any consumer needs; each consumer then
+  // throttles itself (the sampler internally, the heartbeat here).
+  unsigned tick = heartbeat_interval_ms_;
+  if (options.metrics_out != nullptr) {
+    tick = std::min(tick, std::max(1u, options.metrics_interval_ms));
+  }
+  if (options.watchdog_ms > 0) {
+    tick = std::min(tick, std::max(1u, options.watchdog_ms / 4));
+  }
+  tick_ms_ = std::max(1u, tick);
+  rate_.sample(metrics::now_nanos(), 0);  // ETA baseline (first interval)
+  last_change_nanos_ = metrics::now_nanos();
+}
+
+void SweepMonitor::tick() {
+  const SweepCounts c = counts_();
+  const std::uint64_t now = metrics::now_nanos();
+  reg_->gauge_set(metrics::Gauge::kSweepQueueDepth,
+                  static_cast<std::int64_t>(total_ - c.done));
+  if (options_.progress &&
+      now - last_heartbeat_nanos_ >=
+          std::uint64_t{heartbeat_interval_ms_} * 1'000'000) {
+    last_heartbeat_nanos_ = now;
+    rate_.sample(now, c.done);
+    out_ << line(c, /*final=*/false) << std::endl;
+  }
+  if (options_.metrics_out != nullptr) {
+    sampler_.maybe_sample(c.done, total_, live_());
+  }
+  if (options_.watchdog_ms > 0) {
+    if (c.done != last_done_) {
+      last_done_ = c.done;
+      last_change_nanos_ = now;
+      armed_ = true;
+    } else if (armed_ && c.done < total_ &&
+               now - last_change_nanos_ >=
+                   std::uint64_t{options_.watchdog_ms} * 1'000'000) {
+      // No spec completed within the deadline: leave a post-mortem and
+      // disarm until progress resumes (one report per stall episode).
+      // Recovery (killing the stalled child) is the isolated supervisor's
+      // business, under --watchdog-kill.
+      crash::write_postmortem(options_.watchdog_fd, "watchdog: sweep stalled");
+      reg_->bump(metrics::Counter::kPostmortemDumps);
+      armed_ = false;
+    }
+  }
+}
+
+void SweepMonitor::finish() {
+  const SweepCounts c = counts_();
+  reg_->gauge_set(metrics::Gauge::kSweepQueueDepth,
+                  static_cast<std::int64_t>(total_ - c.done));
+  if (options_.progress) out_ << line(c, /*final=*/true) << std::endl;
+  if (options_.metrics_out != nullptr) {
+    sampler_.final_sample(c.done, total_, live_());
+  }
+}
+
+std::string SweepMonitor::line(const SweepCounts& c, bool final) const {
+  std::ostringstream workers;
+  for (std::size_t w = 0; w < c.per_worker.size(); ++w) {
+    workers << (w == 0 ? "" : " ") << 'w' << w << ':' << c.per_worker[w];
+  }
+  const std::uint64_t remaining = total_ > c.done ? total_ - c.done : 0;
+  char perf[96];
+  if (final) {
+    // The summary reports the true whole-run average (clamped elapsed
+    // time: a sub-millisecond sweep must not print inf).
+    const double secs = std::max(clock_.seconds(), 1e-9);
+    std::snprintf(perf, sizeof(perf), "%.1f specs/s, %.2fs elapsed",
+                  static_cast<double>(c.done) / secs, secs);
+  } else {
+    // Live rate/ETA come from the rolling window, which tracks the current
+    // completion regime of front-loaded prefix sweeps.  Until the window
+    // has a usable rate (first interval, or a stall) the ETA is unknown —
+    // printed as "--", never nan/inf.
+    const double rate = rate_.rate_per_sec();
+    if (rate > 0.0) {
+      std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta %.1fs", rate,
+                    rate_.eta_seconds(remaining));
+    } else {
+      std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta --", rate);
+    }
+  }
+  std::ostringstream os;
+  os << (final ? "sweep done: " : "sweep: ") << c.done << '/' << total_
+     << " specs (" << perf << ", racy " << c.racy << ") [" << workers.str()
+     << ']';
+  return os.str();
+}
 
 /// The steal query context is the recorded pre-merge context with the
 /// merges applied: post-merge live_epochs is exactly `pre - merges` (the
@@ -298,8 +273,7 @@ SpecExecutor::RunOutcome SpecExecutor::run_rerun(std::size_t i,
   prof::Phase spec_phase("spec");
   const std::uint64_t t0 = metrics::now_nanos();
   {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
-    prof::Phase detect_phase("detect");
+    prof::Phase detect_phase("detect", metrics::Phase::kExecute);
     run_serial(program_, tool, family_[i].get());
   }
   return {true, metrics::now_nanos() - t0};
@@ -332,61 +306,60 @@ SpecExecutor::RunOutcome SpecExecutor::run_prefix(std::size_t i,
   cur_out_ = out;
   const auto hook = [this](std::size_t idx) { on_point(idx); };
   const std::uint64_t t0 = metrics::now_nanos();
-  {
-    metrics::PhaseTimer timer(metrics::Phase::kExecute);
-    bool fresh = ckpts_.empty();
-    if (!fresh) {
-      PrefixCheckpoint& ck = ckpts_.back();
-      trail_.resize(d);
-      *out = ck.log;
-      std::unique_ptr<Tool> detector = ck.tool->fork(out);
-      metrics::bump(metrics::Counter::kSweepForks);
-      SerialEngine engine(detector.get(), family_[i].get());
-      eng_ = &engine;
-      cur_tool_ = detector.get();
-      engine.set_decision_trail(&trail_);
-      engine.set_point_hook(hook);
-      SerialEngine::ResumePlan plan;
-      plan.replay = &trail_;
-      plan.replay_count = d;
-      plan.live_from = ck.engine.point;
-      // Verified (then dropped) before the hook can grow `ckpts_` and
-      // invalidate this pointer.
-      plan.expect = &ck.engine;
-      try {
-        prof::Phase resume_phase("resume");
-        engine.resume_from(program_, plan);
-      } catch (const ResumeDiverged&) {
-        // The re-executed prefix did not regenerate the checkpointed state
-        // (go_live verification, serial_engine.hpp): the program is not an
-        // address-stable pure function of the decisions, so its runs cannot
-        // share prefixes.  Degrade to rerun semantics for this member: drop
-        // every checkpoint (their forks describe executions this program
-        // cannot reproduce) and the possibly dirtied instance, and run the
-        // member fresh.  Correctness is preserved — only the speedup is
-        // lost — and the fallback is visible as kSweepResumeFallbacks in
-        // rader.report.
-        metrics::bump(metrics::Counter::kSweepResumeFallbacks);
-        drop_checkpoints(0);
-        *out = RaceLog();
-        program_ = make_program_();
-        fresh = true;
-      }
+  // The "resume" and "detect" phases partition the execution (kExecute):
+  // a resume covers the fork, the fast-forward and any fallback.
+  bool fresh = ckpts_.empty();
+  if (!fresh) {
+    prof::Phase resume_phase("resume", metrics::Phase::kExecute);
+    PrefixCheckpoint& ck = ckpts_.back();
+    trail_.resize(d);
+    *out = ck.log;
+    std::unique_ptr<Tool> detector = ck.tool->fork(out);
+    metrics::bump(metrics::Counter::kSweepForks);
+    SerialEngine engine(detector.get(), family_[i].get());
+    eng_ = &engine;
+    cur_tool_ = detector.get();
+    engine.set_decision_trail(&trail_);
+    engine.set_point_hook(hook);
+    SerialEngine::ResumePlan plan;
+    plan.replay = &trail_;
+    plan.replay_count = d;
+    plan.live_from = ck.engine.point;
+    // Verified (then dropped) before the hook can grow `ckpts_` and
+    // invalidate this pointer.
+    plan.expect = &ck.engine;
+    try {
+      engine.resume_from(program_, plan);
+    } catch (const ResumeDiverged&) {
+      // The re-executed prefix did not regenerate the checkpointed state
+      // (go_live verification, serial_engine.hpp): the program is not an
+      // address-stable pure function of the decisions, so its runs cannot
+      // share prefixes.  Degrade to rerun semantics for this member: drop
+      // every checkpoint (their forks describe executions this program
+      // cannot reproduce) and the possibly dirtied instance, and run the
+      // member fresh.  Correctness is preserved — only the speedup is lost
+      // — and the fallback is visible as kSweepResumeFallbacks in
+      // rader.report.
+      metrics::bump(metrics::Counter::kSweepResumeFallbacks);
+      drop_checkpoints(0);
+      *out = RaceLog();
+      program_ = make_program_();
+      fresh = true;
     }
-    if (fresh) {
-      // No shared prefix survives (first member, divergence at the root,
-      // stride left no checkpoint this shallow, or a resume fallback):
-      // fresh run.
-      trail_.clear();
-      SpPlusDetector detector(out);
-      SerialEngine engine(&detector, family_[i].get());
-      eng_ = &engine;
-      cur_tool_ = &detector;
-      engine.set_decision_trail(&trail_);
-      engine.set_point_hook(hook);
-      prof::Phase detect_phase("detect");
-      engine.run(program_);
-    }
+  }
+  if (fresh) {
+    // No shared prefix survives (first member, divergence at the root,
+    // stride left no checkpoint this shallow, or a resume fallback): fresh
+    // run.
+    prof::Phase detect_phase("detect", metrics::Phase::kExecute);
+    trail_.clear();
+    SpPlusDetector detector(out);
+    SerialEngine engine(&detector, family_[i].get());
+    eng_ = &engine;
+    cur_tool_ = &detector;
+    engine.set_decision_trail(&trail_);
+    engine.set_point_hook(hook);
+    engine.run(program_);
   }
   const std::uint64_t nanos = metrics::now_nanos() - t0;
   // The dedup shortcut needs the log as the run produced it, BEFORE
@@ -435,7 +408,9 @@ SweepResult sweep_family(
   // of thread count or scheduling.
   std::vector<RaceLog> per_spec(n);
   std::vector<char> ran(n, 0);
-  std::vector<metrics::Snapshot> worker_metrics(threads);
+  // Each worker's own sinks (obs::attach), folded into the sweep's after
+  // the join.
+  std::vector<metrics::Registry> worker_regs(threads);
   std::vector<prof::Profiler> worker_profs(threads);
   // Telemetry counters sampled by the progress monitor (and mirrored by the
   // per-worker metrics snapshots merged into SweepResult::metrics).
@@ -471,9 +446,7 @@ SweepResult sweep_family(
   const auto finish_spec = [&](unsigned widx, std::size_t i) {
     per_spec[i].stamp_found_under(family[i]->describe());
     ran[i] = 1;
-    if (metrics::Registry* r = metrics::current()) {
-      shared.publish(widx, r->snapshot());
-    }
+    shared.publish(widx, worker_regs[widx].snapshot());
     inflight.clear(widx);
     worker_done[widx].fetch_add(1, std::memory_order_relaxed);
     if (per_spec[i].any()) {
@@ -557,6 +530,17 @@ SweepResult sweep_family(
 
   const bool prefix = options.strategy == SweepStrategy::kPrefix &&
                       !options.sampling.enabled;
+  // The sweep's own sinks: the registry behind SweepResult::metrics
+  // (collected whether or not the caller listens) and a profiler that
+  // gathers the workers' phase trees under one "sweep" node.  Both are
+  // forwarded to the caller's sinks at the end.
+  const obs::Context outer = obs::current();
+  metrics::Registry sweep_reg;
+  prof::Profiler sweep_prof;
+  obs::Context sweep_ctx = outer;
+  sweep_ctx.registry = &sweep_reg;
+  sweep_ctx.profiler = &sweep_prof;
+
   const auto worker = [&](unsigned widx) {
     // Bound the thread's view-arena floor: the worker's program fixtures
     // allocate outside runs (promoting the floor), and without this a
@@ -564,16 +548,10 @@ SweepResult sweep_family(
     // thread's arena monotonically.  Declared first so it is destroyed
     // last — after the program instances (and their views) are gone.
     view_arena::Scope arena_scope;
-    metrics::Registry reg;
-    metrics::Scope scope(&reg);
-    prof::Scope pscope(&worker_profs[widx]);
-    // When a tracing session is active, each sweep worker records into its
-    // own buffer ("sweep-wN") — one Chrome-trace process per worker.
-    trace::Session* const tsession = trace::session();
-    trace::ThreadScope tscope(
-        tsession != nullptr
-            ? tsession->make_buffer("sweep-w" + std::to_string(widx))
-            : trace::buffer());
+    // Under a trace session each worker records into its own buffer
+    // ("sweep-wN") — one Chrome-trace process per worker.
+    obs::Scope scope(obs::attach(sweep_ctx, &worker_regs[widx],
+                                 &worker_profs[widx], "sweep-w", widx));
     {
       sweep_internal::SpecExecutor exec(make_program, family, options);
       if (prefix) {
@@ -584,28 +562,31 @@ SweepResult sweep_family(
     }
     // Quiescent totals: the monitor's final JSONL sample reads these slots
     // after the join, so publish everything one last time.
-    shared.publish(widx, reg.snapshot());
-    worker_metrics[widx] = reg.snapshot();
+    shared.publish(widx, worker_regs[widx].snapshot());
   };
 
-  // The sweep's own profiler aggregates the workers' phase trees under one
-  // "sweep" node, then forwards to the caller's profiler (if any) — the
-  // same absorb-at-join shape as the metrics registries.
-  prof::Profiler* const outer_prof = prof::current();
-  prof::Profiler sweep_prof;
-  metrics::Registry merge_reg;
-  metrics::Registry monitor_reg;
   {
-    prof::Scope pscope(&sweep_prof);
+    obs::Scope scope(sweep_ctx);
     prof::Phase sweep_phase("sweep");
     {
-      // Scoped so the monitor's destructor (which prints the final summary
-      // line and writes the final JSONL sample) runs as soon as the workers
-      // have joined.
-      std::unique_ptr<SweepMonitor> monitor;
-      if (SweepMonitor::wanted(options)) {
-        monitor = std::make_unique<SweepMonitor>(
-            options, n, &worker_done, &racy_specs, &shared, &monitor_reg);
+      // Scoped so the monitor finishes (final summary line, final JSONL
+      // sample) as soon as the workers have joined.
+      std::unique_ptr<sweep_internal::SweepMonitor> monitor;
+      std::unique_ptr<MonitorThread> monitor_thread;
+      if (sweep_internal::SweepMonitor::wanted(options)) {
+        monitor = std::make_unique<sweep_internal::SweepMonitor>(
+            options, n,
+            [&] {
+              sweep_internal::SweepCounts c;
+              for (const auto& w : worker_done) {
+                c.per_worker.push_back(w.load(std::memory_order_relaxed));
+                c.done += c.per_worker.back();
+              }
+              c.racy = racy_specs.load(std::memory_order_relaxed);
+              return c;
+            },
+            [&] { return shared.read(); }, &sweep_reg);
+        monitor_thread = std::make_unique<MonitorThread>(monitor.get());
       }
       if (threads <= 1) {
         worker(0);
@@ -616,7 +597,10 @@ SweepResult sweep_family(
         for (auto& th : pool) th.join();
       }
     }
-    for (const auto& wp : worker_profs) sweep_prof.absorb(wp.root());
+    for (unsigned w = 0; w < threads; ++w) {
+      obs::fold({.registry = &worker_regs[w], .profiler = &worker_profs[w]},
+                sweep_ctx);
+    }
 
     // Merge exactly the deterministic prefix: everything up to and
     // including the lowest racy index (or the whole budgeted family when no
@@ -627,9 +611,7 @@ SweepResult sweep_family(
     const std::size_t lowest = first_racy.load(std::memory_order_relaxed);
     const std::size_t limit = lowest < n ? lowest + 1 : n;
     {
-      metrics::Scope scope(&merge_reg);
-      metrics::PhaseTimer timer(metrics::Phase::kMerge);
-      prof::Phase merge_phase("merge");
+      prof::Phase merge_phase("merge", metrics::Phase::kMerge);
       for (std::size_t i = 0; i < limit; ++i) {
         RADER_CHECK_MSG(ran[i] != 0, "sweep prefix member did not run");
         result.log.merge(per_spec[i]);
@@ -639,17 +621,10 @@ SweepResult sweep_family(
   }
   crash::clear_sources();
   result.specs_skipped = total - result.spec_runs;
-  for (const auto& wm : worker_metrics) result.metrics.add(wm);
-  result.metrics.add(merge_reg.snapshot());
-  result.metrics.add(monitor_reg.snapshot());
-  // Forward the aggregates to the caller's registry/profiler (if installed)
-  // so an outer Scope sees probe + sweep + merge in one snapshot.
-  if (metrics::Registry* outer = metrics::current()) {
-    outer->absorb(result.metrics);
-  }
-  if (outer_prof != nullptr) {
-    outer_prof->absorb(sweep_prof.root());
-  }
+  result.metrics = sweep_reg.snapshot();
+  // Forward to the caller's registry/profiler (if installed) so an outer
+  // Scope sees probe + sweep + merge in one snapshot.
+  obs::fold(sweep_ctx, outer);
   return result;
 }
 

@@ -6,7 +6,8 @@
 // caller is an in-process worker thread or a sandboxed child process
 // (--isolate=procs).  That sharing is what makes the isolated sweep's
 // surviving-spec results byte-identical to the in-process sweep's — there
-// is only one way a spec gets executed.
+// is only one way a spec gets executed.  SweepMonitor is the other shared
+// piece: one heartbeat / JSONL sampler / watchdog for both backends.
 //
 // Metric accounting contract: SpecExecutor itself bumps only the metrics
 // that describe work INTERNAL to a run (checkpoints, forks, resume
@@ -24,13 +25,18 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "core/metrics_export.hpp"
 #include "core/race_report.hpp"
 #include "core/spplus.hpp"
 #include "core/sweep.hpp"
 #include "runtime/serial_engine.hpp"
 #include "spec/steal_spec.hpp"
+#include "support/metrics.hpp"
+#include "support/rolling_rate.hpp"
 #include "tool/sampling.hpp"
 
 namespace rader::sweep_internal {
@@ -110,6 +116,62 @@ class SpecExecutor {
   SerialEngine* eng_ = nullptr;
   Tool* cur_tool_ = nullptr;
   RaceLog* cur_out_ = nullptr;
+};
+
+/// Progress as a sweep backend reports it to its monitor.
+struct SweepCounts {
+  std::uint64_t done = 0;  // members completed (or quarantined)
+  std::uint64_t racy = 0;  // completed members that reported a race
+  std::vector<std::uint64_t> per_worker;  // completions per worker slot
+};
+
+/// The sweep's live consumers behind one tick: the `--progress` heartbeat
+/// (rolling-window rate/ETA), the JSONL metrics sampler (`--metrics-out`),
+/// the queue-depth gauge, and the hang watchdog (`--watchdog-ms`).  Both
+/// backends drive the same tick(): the in-process sweep from its monitor
+/// thread, the isolated supervisor from its poll loop (it must stay
+/// thread-free to fork safely).  Each consumer throttles itself, so tick()
+/// may be called at any cadence at least as fast as tick_ms().
+class SweepMonitor {
+ public:
+  /// True when some consumer is on (the in-process sweep then starts its
+  /// monitor thread).
+  static bool wanted(const SweepOptions& options);
+
+  /// `counts` reports progress; `live` the metrics the JSONL sampler
+  /// writes; `reg` receives the queue-depth gauge and watchdog dumps.
+  SweepMonitor(const SweepOptions& options, std::size_t total,
+               std::function<SweepCounts()> counts,
+               std::function<metrics::Snapshot()> live,
+               metrics::Registry* reg);
+
+  /// The longest tick interval that still serves every consumer.
+  unsigned tick_ms() const { return tick_ms_; }
+
+  void tick();
+
+  /// Final observations once the workers have quiesced: the exact gauge,
+  /// the summary heartbeat line, the final JSONL sample.
+  void finish();
+
+ private:
+  std::string line(const SweepCounts& c, bool final) const;
+
+  const SweepOptions& options_;
+  const std::size_t total_;
+  std::function<SweepCounts()> counts_;
+  std::function<metrics::Snapshot()> live_;
+  metrics::Registry* reg_;
+  std::ostream& out_;
+  MetricsSampler sampler_;
+  const unsigned heartbeat_interval_ms_;
+  unsigned tick_ms_;
+  support::RollingRate rate_;
+  std::uint64_t last_heartbeat_nanos_ = 0;
+  std::uint64_t last_done_ = 0;
+  std::uint64_t last_change_nanos_ = 0;
+  bool armed_ = true;
+  metrics::Stopwatch clock_;
 };
 
 /// The --isolate=procs backend (core/sweep_isolated.cpp): shard the family

@@ -39,11 +39,11 @@
 // therefore always completes: every index of the merged prefix either ran
 // or is quarantined.
 //
-// Monitor duties (--progress / --metrics-out / --watchdog-ms) run inline in
-// the supervisor loop — forking a multithreaded process is a minefield, so
-// the supervisor owns no threads at all.  --watchdog-kill escalates a
-// stalled child from diagnosis to recovery through the same quarantine
-// path.
+// Monitor duties (--progress / --metrics-out / --watchdog-ms) are the
+// in-process sweep's SweepMonitor, ticked from the supervisor loop — forking
+// a multithreaded process is a minefield, so the supervisor owns no threads
+// at all.  --watchdog-kill escalates a stalled child from diagnosis to
+// recovery through the same quarantine path.
 #include <unistd.h>
 
 #include <algorithm>
@@ -51,14 +51,12 @@
 #include <cstdio>
 #include <ctime>
 #include <deque>
-#include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/metrics_export.hpp"
 #include "core/report_wire.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_internal.hpp"
@@ -68,7 +66,6 @@
 #include "support/faultpoint.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
-#include "support/rolling_rate.hpp"
 #include "support/subprocess.hpp"
 #include "support/trace.hpp"
 
@@ -159,7 +156,7 @@ int child_main(int fd, const ProgramFactory& make_program,
   faultpoint::fire(faultpoint::kSiteSweepChild, shard.lo);
   view_arena::Scope arena_scope;
   metrics::Registry reg;
-  metrics::Scope scope(&reg);
+  obs::Scope scope(&reg);
   metrics::SharedSnapshot shared(1);
   crash::InflightTable inflight;
   {
@@ -242,11 +239,10 @@ SweepResult sweep_family_isolated(
   std::vector<std::uint64_t> slot_done(threads, 0);
 
   // The supervisor's own registry: per-spec accounting replayed from wire
-  // lines, plus the isolation counters.  Child registries arrive as wire
-  // snapshots and fold into `child_totals`.
+  // lines, the isolation counters, the monitor's gauge and the merge.
+  // Child registries arrive as wire snapshots and fold into `child_totals`.
   metrics::Registry sup_reg;
   metrics::Snapshot child_totals;
-  metrics::Registry merge_reg;
   metrics::SharedSnapshot shared(1);
   crash::InflightTable inflight;
   {
@@ -258,10 +254,14 @@ SweepResult sweep_family_isolated(
     crash::set_sources(sources);
   }
 
-  prof::Profiler* const outer_prof = prof::current();
+  // The sweep's own sinks, forwarded to the caller's at the end.
+  const obs::Context outer = obs::current();
   prof::Profiler sweep_prof;
+  obs::Context sweep_ctx = outer;
+  sweep_ctx.registry = &sup_reg;
+  sweep_ctx.profiler = &sweep_prof;
   {
-    prof::Scope pscope(&sweep_prof);
+    obs::Scope scope(sweep_ctx);
     prof::Phase sweep_phase("sweep");
 
     // Shard geometry: ~4 shards per concurrent child bounds the work lost
@@ -291,20 +291,6 @@ SweepResult sweep_family_isolated(
     std::vector<std::unique_ptr<Slot>> slots(threads);
     unsigned attempt_counter = 0;
 
-    // ----- inline monitor state (heartbeat / JSONL sampler / watchdog) ----
-    std::ostream& progress_out =
-        options.progress_out != nullptr ? *options.progress_out : std::cerr;
-    MetricsSampler sampler(options.metrics_out,
-                           std::max(1u, options.metrics_interval_ms));
-    const unsigned heartbeat_ms = std::max(1u, options.progress_interval_ms);
-    support::RollingRate rate;
-    metrics::Stopwatch clock;
-    rate.sample(metrics::now_nanos(), 0);
-    std::uint64_t last_heartbeat = 0;
-    std::uint64_t last_change = metrics::now_nanos();
-    std::uint64_t watchdog_last_done = 0;
-    bool watchdog_armed = true;
-
     const auto live_totals = [&] {
       metrics::Snapshot live = sup_reg.snapshot();
       live.add(child_totals);
@@ -314,32 +300,19 @@ SweepResult sweep_family_isolated(
       return live;
     };
 
-    const auto heartbeat_line = [&](bool final) {
-      std::ostringstream workers;
-      for (std::size_t w = 0; w < slot_done.size(); ++w) {
-        workers << (w == 0 ? "" : " ") << 'w' << w << ':' << slot_done[w];
-      }
-      const std::uint64_t remaining = n > done_specs ? n - done_specs : 0;
-      char perf[96];
-      if (final) {
-        const double secs = std::max(clock.seconds(), 1e-9);
-        std::snprintf(perf, sizeof(perf), "%.1f specs/s, %.2fs elapsed",
-                      static_cast<double>(done_specs) / secs, secs);
-      } else {
-        const double r = rate.rate_per_sec();
-        if (r > 0.0) {
-          std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta %.1fs", r,
-                        rate.eta_seconds(remaining));
-        } else {
-          std::snprintf(perf, sizeof(perf), "%.1f specs/s, eta --", r);
-        }
-      }
-      std::ostringstream os;
-      os << (final ? "sweep done: " : "sweep: ") << done_specs << '/' << n
-         << " specs (" << perf << ", racy " << racy_specs << ") ["
-         << workers.str() << ']';
-      return os.str();
-    };
+    // The supervisor ticks the monitor from its poll loop, every pass: the
+    // queue-depth gauge always, the heartbeat / JSONL sampler / watchdog
+    // when asked for.
+    SweepMonitor monitor(
+        options, n,
+        [&] {
+          SweepCounts c;
+          c.done = done_specs;
+          c.racy = racy_specs;
+          c.per_worker = slot_done;
+          return c;
+        },
+        live_totals, &sup_reg);
 
     // ----- supervisor actions ---------------------------------------------
 
@@ -653,54 +626,20 @@ SweepResult sweep_family_isolated(
         if (slots[w] && slots[w]->eof) finalize_slot(w);
       }
 
-      // Inline monitor duties.
-      now = metrics::now_nanos();
-      sup_reg.gauge_set(metrics::Gauge::kSweepQueueDepth,
-                        static_cast<std::int64_t>(n - done_specs));
+      // Monitor duties (the crash handler's live slot first, so a watchdog
+      // post-mortem carries the current totals).
       shared.publish(0, live_totals());
-      if (options.progress &&
-          now - last_heartbeat >= ms_to_nanos(heartbeat_ms)) {
-        last_heartbeat = now;
-        rate.sample(now, done_specs);
-        progress_out << heartbeat_line(/*final=*/false) << std::endl;
-      }
-      if (options.metrics_out != nullptr) {
-        sampler.maybe_sample(done_specs, n, live_totals());
-      }
-      if (options.watchdog_ms > 0) {
-        if (done_specs != watchdog_last_done) {
-          watchdog_last_done = done_specs;
-          last_change = now;
-          watchdog_armed = true;
-        } else if (watchdog_armed && done_specs < n &&
-                   now - last_change >= ms_to_nanos(options.watchdog_ms)) {
-          // Diagnosis always; recovery (the kill path above) only with
-          // --watchdog-kill.  One report per stall episode.
-          crash::write_postmortem(options.watchdog_fd,
-                                  "watchdog: sweep stalled");
-          sup_reg.bump(metrics::Counter::kPostmortemDumps);
-          watchdog_armed = false;
-        }
-      }
+      monitor.tick();
     }
 
     // Final monitor output (exact totals: everything has been reaped).
-    sup_reg.gauge_set(metrics::Gauge::kSweepQueueDepth,
-                      static_cast<std::int64_t>(n - done_specs));
-    if (options.progress) {
-      progress_out << heartbeat_line(/*final=*/true) << std::endl;
-    }
-    if (options.metrics_out != nullptr) {
-      sampler.final_sample(done_specs, n, live_totals());
-    }
+    monitor.finish();
 
     // Merge exactly the deterministic prefix, skipping quarantined holes —
     // identical to the in-process merge on the surviving members.
     const std::size_t limit = first_racy < n ? first_racy + 1 : n;
     {
-      metrics::Scope scope(&merge_reg);
-      metrics::PhaseTimer timer(metrics::Phase::kMerge);
-      prof::Phase merge_phase("merge");
+      prof::Phase merge_phase("merge", metrics::Phase::kMerge);
       for (std::size_t i = 0; i < limit; ++i) {
         if (ran[i] != 0) {
           result.log.merge(per_spec[i]);
@@ -716,15 +655,9 @@ SweepResult sweep_family_isolated(
   }
   crash::clear_sources();
   result.specs_skipped = total - result.spec_runs - result.failures.size();
-  result.metrics.add(child_totals);
-  result.metrics.add(sup_reg.snapshot());
-  result.metrics.add(merge_reg.snapshot());
-  if (metrics::Registry* outer = metrics::current()) {
-    outer->absorb(result.metrics);
-  }
-  if (outer_prof != nullptr) {
-    outer_prof->absorb(sweep_prof.root());
-  }
+  sup_reg.absorb(child_totals);
+  result.metrics = sup_reg.snapshot();
+  obs::fold(sweep_ctx, outer);
   return result;
 }
 

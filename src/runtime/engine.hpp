@@ -102,7 +102,7 @@ class Engine {
   };
 
  private:
-  static thread_local Engine* tl_current_;
+  static inline thread_local Engine* tl_current_ = nullptr;
 };
 
 }  // namespace rader

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -224,7 +225,7 @@ class SerialEngine final : public Engine {
   // Simulated-worker accounting for the trace subsystem: worker 0 runs the
   // root strand; each simulated steal hands the continuation to a fresh
   // worker id, exactly as a real scheduler would.  Only advanced while a
-  // TraceScope is active.
+  // trace session is active.
   std::uint32_t next_sim_worker_ = 1;
   int view_aware_depth_ = 0;
   bool running_ = false;
@@ -239,13 +240,9 @@ class SerialEngine final : public Engine {
   bool live_ = true;
   // Open "replay" profiler phase of a resumed run (support/profile.hpp):
   // the fast-forward interval spans run_impl entry to go_live, which no
-  // single lexical scope covers, so the phase is opened/closed by hand —
-  // close_replay_phase() runs at go_live and on the ResumeDiverged unwind.
-  void close_replay_phase();
-  prof::Profiler* replay_prof_ = nullptr;
-  prof::Node* replay_node_ = nullptr;
-  prof::Node* replay_parent_ = nullptr;
-  std::uint64_t replay_t0_ = 0;
+  // single lexical scope covers; no other phase opens inside it, so the
+  // phases still nest.  Reset at go_live and on the ResumeDiverged unwind.
+  std::optional<prof::Phase> replay_phase_;
   // FNV-1a over the (kind, addr, size) access/clear stream delivered while a
   // tool is attached.  Captured into checkpoints and compared at go_live:
   // equal counts with drifted ADDRESSES (heap layout changing between runs)

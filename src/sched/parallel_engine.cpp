@@ -1,7 +1,6 @@
 #include "sched/parallel_engine.hpp"
 
 #include <algorithm>
-#include <string>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -14,18 +13,6 @@
 namespace rader {
 
 namespace {
-
-// Long-lived pool threads re-check the active trace session each loop and
-// (re-)attach a buffer when it changes; scopes come and go while the
-// engine's threads persist.
-trace::Session* sync_thread_buffer(trace::Session* attached, unsigned index) {
-  trace::Session* s = trace::session();
-  if (s == attached) return attached;
-  trace::set_thread_buffer(
-      s != nullptr ? s->make_buffer("pe-worker-" + std::to_string(index))
-                   : nullptr);
-  return s;
-}
 
 // The CPU the calling thread runs on, or -1 where that is unknown.
 int current_cpu() {
@@ -151,26 +138,27 @@ bool ParallelEngine::record(WorkerState& w, const ShardEvent& e) {
 void ParallelEngine::helper_loop(unsigned index) {
   WorkerState& w = *workers_[index];
   tl_worker_ = &w;
-  trace::set_worker(index);
-  trace::Session* attached = nullptr;
   Engine::Scope scope(this);
-  // The worker's private sink for the thread's lifetime; run() folds the
-  // accumulated snapshot into the caller's sink after every join.
-  metrics::Scope mscope(&w.metrics);
   std::uint64_t seen = 0;
-  int home_cpu = -1;
   for (;;) {
+    obs::Context parent;
+    int home_cpu = -1;
     {
       // Parked between runs.  The generation check is made under the lock
-      // that run() bumps it under, so no start is ever missed.
+      // that run() bumps it under, so no start is ever missed; the caller's
+      // context travels with it.
       std::unique_lock<std::mutex> lock(park_mu_);
       park_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) break;
       seen = generation_;
       home_cpu = home_cpu_;
+      parent = run_ctx_;
     }
     place_helper(index, home_cpu);
-    attached = sync_thread_buffer(attached, index);
+    // The worker's own sinks for this run; end_run() folds them into the
+    // caller's after the join.
+    obs::Scope attach(
+        obs::attach(parent, &w.metrics, nullptr, "pe-worker-", index));
     helpers_in_run_.fetch_add(1, std::memory_order_release);
     // In a run: steal until the root finishes.  Never sleep here — a wake
     // costs a trip through the OS scheduler on every spawn-heavy phase.
@@ -190,7 +178,6 @@ void ParallelEngine::helper_loop(unsigned index) {
     }
     helpers_in_run_.fetch_sub(1, std::memory_order_release);
   }
-  trace::set_thread_buffer(nullptr);
   tl_worker_ = nullptr;
 }
 
@@ -214,13 +201,14 @@ ParallelEngine::ChildRecord* ParallelEngine::try_get_work(WorkerState& w) {
   return nullptr;
 }
 
-void ParallelEngine::start_helpers() {
+void ParallelEngine::start_helpers(const obs::Context& parent) {
   const auto helpers = static_cast<unsigned>(threads_.size());
   if (helpers == 0) return;
   in_run_.store(true, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(park_mu_);
     home_cpu_ = current_cpu();
+    run_ctx_ = parent;
     ++generation_;
   }
   park_cv_.notify_all();
@@ -245,17 +233,21 @@ void ParallelEngine::run(FnView root) {
 
   WorkerState& w = *workers_[0];
   tl_worker_ = &w;
-  trace::set_worker(0);
+  // Worker 0 is the calling thread: it keeps the caller's profiler and
+  // trace buffer, and counts into its own registry like every helper.
+  const obs::Context parent = obs::current();
+  obs::Scope attach(obs::attach(parent, &w.metrics, parent.profiler,
+                                /*trace_name=*/nullptr, 0));
   trace::emit(trace::EventKind::kRunBegin, kInvalidFrame);
-  start_helpers();
-  // Declared before the scopes below so it runs after they close, on the
+  start_helpers(parent);
+  // Declared before the scope below so it runs after it closes, on the
   // normal path and when `root` throws alike.
   struct EndRun {
     ParallelEngine* engine;
-    ~EndRun() { engine->end_run(); }
-  } end_run_guard{this};
+    const obs::Context& parent;
+    ~EndRun() { engine->end_run(parent); }
+  } end_run_guard{this, parent};
   {
-    metrics::Scope mscope(&w.metrics);
     Engine::Scope scope(this);
 
     if (tool_ != nullptr) {
@@ -324,7 +316,7 @@ void ParallelEngine::run(FnView root) {
   }
 }
 
-void ParallelEngine::end_run() {
+void ParallelEngine::end_run(const obs::Context& parent) {
   in_run_.store(false, std::memory_order_release);
   while (helpers_in_run_.load(std::memory_order_acquire) > 0) {
     std::this_thread::yield();
@@ -342,19 +334,12 @@ void ParallelEngine::end_run() {
   w.view_aware_depth = 0;
   replayer_.reset();
 
-  // Fold every worker's accounting into the caller's sink, the same shape
-  // sweep workers use: private Registry per worker, one absorb after the
-  // join.  Every helper has counted itself out above (release/acquire), so
-  // the registries are quiescent here.
-  if (metrics::Registry* outer = metrics::current()) {
-    metrics::Snapshot total;
-    for (auto& wk : workers_) {
-      total.add(wk->metrics.snapshot());
-      wk->metrics.reset();
-    }
-    outer->absorb(total);
-  } else {
-    for (auto& wk : workers_) wk->metrics.reset();
+  // Fold every worker's accounting into the caller's sink — the same
+  // attach/fold shape sweep workers use.  Every helper has counted itself
+  // out above (release/acquire), so the registries are quiescent here.
+  for (auto& wk : workers_) {
+    obs::fold({.registry = &wk->metrics}, parent);
+    wk->metrics.reset();
   }
 
   record_accesses_ = false;

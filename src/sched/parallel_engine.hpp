@@ -153,8 +153,8 @@ class ParallelEngine final : public Engine {
     Rng rng;
     std::vector<FrameCtx> frames;
     unsigned index = 0;
-    // Per-worker accounting, folded into the caller's metrics sink at the
-    // end of each run (sweep workers fold theirs the same way).
+    // Per-worker accounting, attached while the caller has a registry and
+    // folded into it at the end of each run (obs::attach / obs::fold).
     metrics::Registry metrics;
     // Per-worker access dedup, so hot loops don't flood the event shards:
     // a direct-mapped cache from an access's first byte to the tag
@@ -187,11 +187,13 @@ class ParallelEngine final : public Engine {
   void do_sync(WorkerState& w);
   void fold_map(Hypermap& acc, Hypermap& right);
 
-  /// Wake every helper into the current run and wait until each has joined.
-  void start_helpers();
+  /// Wake every helper into the current run under the caller's context
+  /// `parent` and wait until each has joined.
+  void start_helpers(const obs::Context& parent);
   /// Everything after the root's final sync, on every exit path of run():
-  /// park the helpers, drop leftover run state, fold worker metrics.
-  void end_run();
+  /// park the helpers, drop leftover run state, fold worker metrics into
+  /// `parent`'s registry.
+  void end_run(const obs::Context& parent);
 
   /// Append `e` to the calling worker's current segment shard.  Returns
   /// false (recording nothing) without a tool, under suppression, or
@@ -213,6 +215,7 @@ class ParallelEngine final : public Engine {
   std::mutex park_mu_;
   std::condition_variable park_cv_;
   std::uint64_t generation_ = 0;  // guarded by park_mu_
+  obs::Context run_ctx_;          // the run's caller context; ditto
   bool stop_ = false;             // guarded by park_mu_
   int home_cpu_ = -1;             // worker 0's CPU at run start; ditto
   // In-run helper protocol: helpers steal while `in_run_` holds; run()
@@ -224,7 +227,7 @@ class ParallelEngine final : public Engine {
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> steals_{0};
   // Pseudo frame ids for trace slices (real frames have no global ids here);
-  // only advanced while a TraceScope is active.
+  // only advanced while a trace session is active.
   std::atomic<std::uint32_t> trace_frames_{0};
 
   // Written between runs only; read by workers during a run (ordered by

@@ -305,16 +305,6 @@ std::string Snapshot::to_json() const {
   return os.str();
 }
 
-PhaseTimer::PhaseTimer(Phase p) : reg_(current()), phase_(p) {
-  if (reg_ != nullptr) start_nanos_ = now_nanos();
-}
-
-PhaseTimer::~PhaseTimer() {
-  if (reg_ != nullptr) {
-    reg_->add_phase_nanos(phase_, now_nanos() - start_nanos_);
-  }
-}
-
 SharedSnapshot::SharedSnapshot(unsigned slots)
     : slots_(slots),
       words_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(slots) *

@@ -1,4 +1,4 @@
-// Run-metrics registry: counters, gauges, histograms, and phase timers for
+// Run-metrics registry: counters, gauges, histograms, and phase time for
 // the observability layer.
 //
 // Sampling-based and vector-clock race detectors expose per-run accounting
@@ -10,13 +10,16 @@
 //
 // Design: a plain per-thread sink.  A `Registry` is a flat `Snapshot` —
 // uint64 counters, signed gauges with per-thread high-water marks,
-// log2-bucketed histograms, and per-phase nanosecond accumulators; `Scope`
-// installs one as the calling thread's current sink (RAII, nestable — the
-// previous sink is restored).  The hot-path helpers `bump()`, `gauge_add()`,
-// and `record()` are a thread-local load and a predictable branch when no
-// registry is installed, so instrumented code pays ~nothing unless someone
-// is listening (the dormant-hook budget is enforced by bench/fig7_overhead
-// at <= 1.02x geomean).
+// log2-bucketed histograms, and per-phase nanosecond accumulators.  The
+// calling thread's registry is the `registry` field of its observability
+// context (support/obs.hpp); `Scope` (an alias of obs::Scope) installs one
+// (RAII, nestable — the previous sink is restored).  The hot-path helpers
+// `bump()`, `gauge_add()`, and `record()` are a thread-local load and a
+// predictable branch when no registry is installed, so instrumented code
+// pays ~nothing unless someone is listening (the dormant-hook budget is
+// enforced by bench/fig7_overhead at <= 1.02x geomean).  Phase time is
+// recorded by prof::Phase (support/profile.hpp), whose one clock pair feeds
+// both the profiler and the registry's phase slot.
 //
 // Naming: every metric has a canonical dotted name in one of four stable
 // namespaces — `sweep.*` (the spec-family sweep), `engine.*` (serial +
@@ -26,14 +29,14 @@
 // text format (core/metrics_export.hpp, dots become underscores there), and
 // `rader --list-metrics` all derive from the descriptor tables here.
 //
-// Threading: a Registry is single-thread; parallel consumers (the sweep
-// engine) give each worker its own Registry and fold the snapshots together
-// with `Snapshot::add` after joining.  A sweep also forwards its aggregate
-// into the *calling* thread's current registry, so an outer Scope (e.g. the
-// CLI's) observes the whole run: probe + workers + merge.  For LIVE
-// consumers (the sweep's JSONL sampler, the crash handler) there is
-// `SharedSnapshot`: a fixed array of per-writer slots of relaxed atomics
-// that workers overwrite with their current totals and readers sum
+// Threading: a Registry is single-thread; parallel consumers (the sweep,
+// the parallel engine) give each worker its own Registry and fold the
+// snapshots together after joining (obs::attach / obs::fold).  A sweep also
+// forwards its aggregate into the *calling* thread's current registry, so
+// an outer Scope (e.g. the CLI's) observes the whole run: probe + workers +
+// merge.  For LIVE consumers (the sweep's JSONL sampler, the crash handler)
+// there is `SharedSnapshot`: a fixed array of per-writer slots of relaxed
+// atomics that workers overwrite with their current totals and readers sum
 // wait-free — approximate by design, exact once the writers quiesce.
 #pragma once
 
@@ -45,10 +48,12 @@
 #include <string>
 #include <vector>
 
+#include "support/obs.hpp"
+
 namespace rader::metrics {
 
 /// Monotonic (steady-clock) nanoseconds since an arbitrary epoch.  The one
-/// time source shared by PhaseTimer, Stopwatch, and the trace subsystem.
+/// time source shared by prof::Phase, Stopwatch, and the trace subsystem.
 std::uint64_t now_nanos();
 
 /// Counter identities.  Canonical dotted names in counter_name().
@@ -237,64 +242,33 @@ class Registry {
   Snapshot snap_;
 };
 
-namespace detail {
-inline thread_local Registry* tl_current = nullptr;
-}  // namespace detail
-
 /// The calling thread's current sink (nullptr = metrics off).
-inline Registry* current() { return detail::tl_current; }
-inline bool enabled() { return detail::tl_current != nullptr; }
+inline Registry* current() { return obs::detail::tl_context.registry; }
+inline bool enabled() { return current() != nullptr; }
 
 /// Hot-path increment: no-op unless a Registry is installed.
 inline void bump(Counter c, std::uint64_t n = 1) {
-  if (Registry* r = detail::tl_current) r->bump(c, n);
+  if (Registry* r = obs::detail::tl_context.registry) r->bump(c, n);
 }
 
 /// Hot-path gauge level change (+/-): no-op unless a Registry is installed.
 inline void gauge_add(Gauge g, std::int64_t delta) {
-  if (Registry* r = detail::tl_current) r->gauge_add(g, delta);
+  if (Registry* r = obs::detail::tl_context.registry) r->gauge_add(g, delta);
 }
 
 /// Hot-path gauge level overwrite: no-op unless a Registry is installed.
 inline void gauge_set(Gauge g, std::int64_t value) {
-  if (Registry* r = detail::tl_current) r->gauge_set(g, value);
+  if (Registry* r = obs::detail::tl_context.registry) r->gauge_set(g, value);
 }
 
 /// Hot-path histogram observation: no-op unless a Registry is installed.
 inline void record(Histogram h, std::uint64_t value) {
-  if (Registry* r = detail::tl_current) r->record(h, value);
+  if (Registry* r = obs::detail::tl_context.registry) r->record(h, value);
 }
 
-/// RAII: install `r` as the calling thread's sink for the scope's lifetime.
-class Scope {
- public:
-  explicit Scope(Registry* r) : prev_(detail::tl_current) {
-    detail::tl_current = r;
-  }
-  ~Scope() { detail::tl_current = prev_; }
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  Registry* prev_;
-};
-
-/// RAII: accumulate the scope's wall time into phase `p` of the registry
-/// current at construction.  Free (no clock reads) when metrics are off.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase p);
-  ~PhaseTimer();
-
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  Registry* reg_;
-  Phase phase_;
-  std::uint64_t start_nanos_ = 0;
-};
+/// RAII sink installation: `Scope scope(&reg)` makes `reg` the calling
+/// thread's registry for the scope's lifetime (support/obs.hpp).
+using Scope = obs::Scope;
 
 /// One row of the registry-backed metric catalog (`rader --list-metrics`,
 /// the Prometheus HELP lines).  `type` is "counter", "gauge", "histogram",

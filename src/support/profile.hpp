@@ -4,16 +4,22 @@
 // (total minus children — where the time actually went, not just which
 // subtree it passed through).
 //
-// Design mirrors support/metrics: a `Profiler` is a plain per-thread sink
-// installed via `Scope` (RAII, nestable); the hot-path `Phase` constructor
-// is a thread-local load and a predictable branch when no profiler is
-// installed, so instrumented code pays ~nothing unless someone asked for
-// `--profile` (dormant budget enforced by bench/fig7_overhead).  Parallel
-// consumers (sweep workers) each get their own Profiler and are folded
-// with `absorb()` after joining — trees merge by phase-name path, so five
-// workers' "sweep;spec;detect" paths collapse into one aggregated node.
-// A sweep also forwards its aggregate into the *calling* thread's current
-// profiler, so an outer Scope (the CLI's) observes the whole run.
+// Design mirrors support/metrics: a `Profiler` is a plain per-thread sink,
+// the `profiler` field of the thread's observability context
+// (support/obs.hpp), installed by obs::Scope; the hot-path `Phase`
+// constructor is a thread-local load and a predictable branch when nothing
+// is listening, so instrumented code pays ~nothing unless someone asked
+// for `--profile` (dormant budget enforced by bench/fig7_overhead).
+// Parallel consumers (sweep workers) each get their own Profiler and are
+// folded with `absorb()` after joining (obs::attach / obs::fold) — trees
+// merge by phase-name path, so five workers' "sweep;spec;detect" paths
+// collapse into one aggregated node.  A sweep also forwards its aggregate
+// into the *calling* thread's current profiler, so an outer Scope (the
+// CLI's) observes the whole run.
+//
+// A Phase may also name a metrics::Phase slot: the same clock pair then
+// feeds the registry's phase accumulator (`phase_seconds` in the report),
+// so one interval is never timed twice.
 //
 // Output: `table()` renders an indented human-readable summary; and
 // `collapsed()` renders the standard collapsed-stack format — one
@@ -31,7 +37,8 @@
 #include <string>
 #include <vector>
 
-#include "support/metrics.hpp"  // now_nanos (Phase's inline fast path)
+#include "support/metrics.hpp"  // now_nanos, Registry (Phase's fast path)
+#include "support/obs.hpp"
 
 namespace rader::prof {
 
@@ -84,53 +91,53 @@ class Profiler {
   Node* cur_;
 };
 
-namespace detail {
-inline thread_local Profiler* tl_current = nullptr;
-}  // namespace detail
-
 /// The calling thread's current profiler (nullptr = profiling off).
-inline Profiler* current() { return detail::tl_current; }
-inline bool enabled() { return detail::tl_current != nullptr; }
-
-/// RAII: install `p` as the calling thread's profiler for the scope's
-/// lifetime.
-class Scope {
- public:
-  explicit Scope(Profiler* p) : prev_(detail::tl_current) {
-    detail::tl_current = p;
-  }
-  ~Scope() { detail::tl_current = prev_; }
-
-  Scope(const Scope&) = delete;
-  Scope& operator=(const Scope&) = delete;
-
- private:
-  Profiler* prev_;
-};
+inline Profiler* current() { return obs::detail::tl_context.profiler; }
+inline bool enabled() { return current() != nullptr; }
 
 /// RAII: one timed phase nested under whatever phase is currently open on
-/// this thread.  Free (no clock reads, no tree walk) when profiling is off —
-/// the constructor and destructor are defined inline so the dormant path is
-/// exactly a thread-local load and a not-taken branch, the cost the
-/// fig7_overhead observability-dormant gate budgets.
+/// this thread.  With a `slot`, the same interval is also added to that
+/// phase accumulator of the thread's registry.  Free (no clock reads, no
+/// tree walk) when nothing is listening — the constructor and destructor
+/// are defined inline so the dormant path is exactly a thread-local load
+/// and a not-taken branch, the cost the fig7_overhead observability-dormant
+/// gate budgets.
 class Phase {
  public:
-  explicit Phase(const char* name) : prof_(detail::tl_current) {
+  explicit Phase(const char* name)
+      : prof_(obs::detail::tl_context.profiler) {
     if (prof_ == nullptr) return;
-    parent_ = prof_->current_node();
-    node_ = prof_->enter(name);
+    open(name);
     start_nanos_ = metrics::now_nanos();
   }
+  Phase(const char* name, metrics::Phase slot)
+      : prof_(obs::detail::tl_context.profiler),
+        reg_(obs::detail::tl_context.registry),
+        slot_(slot) {
+    if (prof_ != nullptr) open(name);
+    if (prof_ != nullptr || reg_ != nullptr) {
+      start_nanos_ = metrics::now_nanos();
+    }
+  }
   ~Phase() {
-    if (prof_ == nullptr) return;
-    prof_->leave(node_, parent_, metrics::now_nanos() - start_nanos_);
+    if (prof_ == nullptr && reg_ == nullptr) return;
+    const std::uint64_t nanos = metrics::now_nanos() - start_nanos_;
+    if (prof_ != nullptr) prof_->leave(node_, parent_, nanos);
+    if (reg_ != nullptr) reg_->add_phase_nanos(slot_, nanos);
   }
 
   Phase(const Phase&) = delete;
   Phase& operator=(const Phase&) = delete;
 
  private:
+  void open(const char* name) {
+    parent_ = prof_->current_node();
+    node_ = prof_->enter(name);
+  }
+
   Profiler* prof_;
+  metrics::Registry* reg_ = nullptr;
+  metrics::Phase slot_ = metrics::Phase::kExecute;
   Node* node_ = nullptr;
   Node* parent_ = nullptr;
   std::uint64_t start_nanos_ = 0;

@@ -1,7 +1,8 @@
 // Sweep accounting and telemetry: the --stop-first invariants the JSON
 // report relies on (spec_runs + specs_skipped == family size; replay
 // handles only from the executed prefix's racy specs), invariance across
-// thread counts, and the --progress heartbeat stream.
+// thread counts, and the monitor's outputs (--progress heartbeat, JSONL
+// samples, watchdog post-mortems) on both sweep backends.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -96,6 +97,16 @@ std::vector<std::unique_ptr<spec::StealSpec>> mixed_family() {
   return family;
 }
 
+// The monitor tests run on both sweep backends: the in-process sweep
+// ticks its SweepMonitor from a monitor thread, the isolated supervisor
+// from its poll loop.
+constexpr SweepIsolation kBackends[] = {SweepIsolation::kNone,
+                                        SweepIsolation::kProcs};
+
+const char* backend_name(SweepIsolation isolation) {
+  return isolation == SweepIsolation::kNone ? "in-process" : "procs";
+}
+
 TEST(SweepStopFirst, AccountingPartitionsTheFamily) {
   const auto family = mixed_family();
   for (const unsigned threads : {1u, 2u, 4u}) {
@@ -151,30 +162,34 @@ TEST(SweepStopFirst, FullSweepStillPartitions) {
 
 TEST(SweepProgress, HeartbeatAndSummaryLinesAreEmitted) {
   const auto family = mixed_family();
-  std::ostringstream captured;
-  SweepOptions opt;
-  opt.threads = 2;
-  opt.progress = true;
-  opt.progress_interval_ms = 1;  // fast sweep: force at least the summary
-  opt.progress_out = &captured;
-  const SweepResult result = sweep_family(fig1_factory(), family, opt);
-  EXPECT_EQ(result.spec_runs, family.size());
-  const std::string out = captured.str();
-  // The final summary line is always printed, with totals, throughput and
-  // the per-worker breakdown.
-  EXPECT_NE(out.find("sweep done: 5/5 specs ("), std::string::npos) << out;
-  EXPECT_NE(out.find("specs/s"), std::string::npos);
   // The racy-spec count matches what checking each member serially finds.
   std::size_t expected_racy = 0;
   for (const auto& s : family) {
     if (Rader::check_determinacy(fig1_factory()(), *s).any()) ++expected_racy;
   }
   EXPECT_GE(expected_racy, 1u);
-  EXPECT_NE(out.find("racy " + std::to_string(expected_racy)),
-            std::string::npos)
-      << out;
-  EXPECT_NE(out.find("[w0:"), std::string::npos);
-  EXPECT_NE(out.find("w1:"), std::string::npos);
+  for (const SweepIsolation isolation : kBackends) {
+    SCOPED_TRACE(backend_name(isolation));
+    std::ostringstream captured;
+    SweepOptions opt;
+    opt.threads = 2;
+    opt.isolation = isolation;
+    opt.progress = true;
+    opt.progress_interval_ms = 1;  // fast sweep: force at least the summary
+    opt.progress_out = &captured;
+    const SweepResult result = sweep_family(fig1_factory(), family, opt);
+    EXPECT_EQ(result.spec_runs, family.size());
+    const std::string out = captured.str();
+    // The final summary line is always printed, with totals, throughput and
+    // the per-worker breakdown.
+    EXPECT_NE(out.find("sweep done: 5/5 specs ("), std::string::npos) << out;
+    EXPECT_NE(out.find("specs/s"), std::string::npos);
+    EXPECT_NE(out.find("racy " + std::to_string(expected_racy)),
+              std::string::npos)
+        << out;
+    EXPECT_NE(out.find("[w0:"), std::string::npos);
+    EXPECT_NE(out.find("w1:"), std::string::npos);
+  }
 }
 
 // Degenerate families used to hit zero denominators in the heartbeat math
@@ -183,28 +198,36 @@ TEST(SweepProgress, HeartbeatAndSummaryLinesAreEmitted) {
 TEST(SweepProgress, SingleSpecFamilyEmitsFiniteNumbersOnly) {
   std::vector<std::unique_ptr<spec::StealSpec>> family;
   family.push_back(std::make_unique<spec::NoSteal>());
-  std::ostringstream captured;
-  SweepOptions opt;
-  opt.threads = 1;
-  opt.progress = true;
-  opt.progress_interval_ms = 1;
-  opt.progress_out = &captured;
-  const SweepResult result = sweep_family(fig1_factory(), family, opt);
-  EXPECT_EQ(result.spec_runs, 1u);
-  const std::string out = captured.str();
-  EXPECT_NE(out.find("1/1 specs"), std::string::npos) << out;
-  EXPECT_EQ(out.find("nan"), std::string::npos) << out;
-  EXPECT_EQ(out.find("inf"), std::string::npos) << out;
+  for (const SweepIsolation isolation : kBackends) {
+    SCOPED_TRACE(backend_name(isolation));
+    std::ostringstream captured;
+    SweepOptions opt;
+    opt.threads = 1;
+    opt.isolation = isolation;
+    opt.progress = true;
+    opt.progress_interval_ms = 1;
+    opt.progress_out = &captured;
+    const SweepResult result = sweep_family(fig1_factory(), family, opt);
+    EXPECT_EQ(result.spec_runs, 1u);
+    const std::string out = captured.str();
+    EXPECT_NE(out.find("1/1 specs"), std::string::npos) << out;
+    EXPECT_EQ(out.find("nan"), std::string::npos) << out;
+    EXPECT_EQ(out.find("inf"), std::string::npos) << out;
+  }
 }
 
 TEST(SweepProgress, DisabledByDefault) {
   const auto family = mixed_family();
-  std::ostringstream captured;
-  SweepOptions opt;
-  opt.threads = 1;
-  opt.progress_out = &captured;  // progress stays false
-  (void)sweep_family(fig1_factory(), family, opt);
-  EXPECT_TRUE(captured.str().empty());
+  for (const SweepIsolation isolation : kBackends) {
+    SCOPED_TRACE(backend_name(isolation));
+    std::ostringstream captured;
+    SweepOptions opt;
+    opt.threads = 1;
+    opt.isolation = isolation;
+    opt.progress_out = &captured;  // progress stays false
+    (void)sweep_family(fig1_factory(), family, opt);
+    EXPECT_TRUE(captured.str().empty());
+  }
 }
 
 // Metric conservation: however the family is sharded (jobs) and executed
@@ -259,82 +282,93 @@ TEST(SweepMetrics, ConservationAcrossJobsAndStrategies) {
 
 TEST(SweepMetrics, JsonlSamplerWritesAQuiescedFinalSample) {
   const auto family = mixed_family();
-  std::ostringstream samples;
-  SweepOptions opt;
-  opt.threads = 2;
-  opt.metrics_out = &samples;
-  opt.metrics_interval_ms = 1;
-  const SweepResult result = sweep_family(fig1_factory(), family, opt);
-  EXPECT_EQ(result.spec_runs, family.size());
-  // At least the final quiesced sample was appended; the last line reports
-  // the complete sweep and the exact folded spec_runs counter.
-  std::istringstream in(samples.str());
-  std::string line;
-  std::string last;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_NE(line.find("\"t_ms\":"), std::string::npos);
-    last = line;
+  for (const SweepIsolation isolation : kBackends) {
+    SCOPED_TRACE(backend_name(isolation));
+    std::ostringstream samples;
+    SweepOptions opt;
+    opt.threads = 2;
+    opt.isolation = isolation;
+    opt.metrics_out = &samples;
+    opt.metrics_interval_ms = 1;
+    const SweepResult result = sweep_family(fig1_factory(), family, opt);
+    EXPECT_EQ(result.spec_runs, family.size());
+    // At least the final quiesced sample was appended; the last line
+    // reports the complete sweep and the exact folded spec_runs counter.
+    std::istringstream in(samples.str());
+    std::string line;
+    std::string last;
+    std::size_t lines = 0;
+    while (std::getline(in, line)) {
+      ++lines;
+      EXPECT_NE(line.find("\"t_ms\":"), std::string::npos);
+      last = line;
+    }
+    ASSERT_GE(lines, 1u);
+    EXPECT_NE(last.find("\"done\":5"), std::string::npos) << last;
+    EXPECT_NE(last.find("\"total\":5"), std::string::npos) << last;
+    EXPECT_NE(last.find("\"sweep.spec_runs\":5"), std::string::npos) << last;
   }
-  ASSERT_GE(lines, 1u);
-  EXPECT_NE(last.find("\"done\":5"), std::string::npos) << last;
-  EXPECT_NE(last.find("\"total\":5"), std::string::npos) << last;
-  EXPECT_NE(last.find("\"sweep.spec_runs\":5"), std::string::npos) << last;
 }
 
 TEST(SweepWatchdog, FiresAPostmortemWhenNoSpecCompletes) {
   // One spec whose execution stalls well past the watchdog deadline.
   std::vector<std::unique_ptr<spec::StealSpec>> family;
   family.push_back(std::make_unique<spec::NoSteal>());
+  for (const SweepIsolation isolation : kBackends) {
+    SCOPED_TRACE(backend_name(isolation));
+    char path[] = "/tmp/rader_watchdog_XXXXXX";
+    const int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
 
-  char path[] = "/tmp/rader_watchdog_XXXXXX";
-  const int fd = ::mkstemp(path);
-  ASSERT_GE(fd, 0);
+    SweepOptions opt;
+    opt.threads = 1;
+    opt.isolation = isolation;
+    opt.watchdog_ms = 20;
+    opt.watchdog_fd = fd;
+    const SweepResult result = sweep_family(
+        shared_program([] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }),
+        family, opt);
+    EXPECT_EQ(result.spec_runs, 1u);
+    // The monitor observed the stall, dumped once, and accounted for it.
+    EXPECT_GE(result.metrics.counter(metrics::Counter::kPostmortemDumps), 1u);
 
-  SweepOptions opt;
-  opt.threads = 1;
-  opt.watchdog_ms = 20;
-  opt.watchdog_fd = fd;
-  const SweepResult result = sweep_family(
-      shared_program([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      }),
-      family, opt);
-  EXPECT_EQ(result.spec_runs, 1u);
-  // The monitor observed the stall, dumped once, and accounted for it.
-  EXPECT_GE(result.metrics.counter(metrics::Counter::kPostmortemDumps), 1u);
-
-  std::string report;
-  char buf[4096];
-  ::lseek(fd, 0, SEEK_SET);
-  ssize_t n;
-  while ((n = ::read(fd, buf, sizeof buf)) > 0) report.append(buf, n);
-  ::close(fd);
-  ::unlink(path);
-  EXPECT_NE(report.find("watchdog"), std::string::npos) << report;
-  EXPECT_NE(report.find("sweep"), std::string::npos) << report;
-  // The in-flight table names the stalled spec.
-  EXPECT_NE(report.find("spec[0] no-steals"), std::string::npos) << report;
+    std::string report;
+    char buf[4096];
+    ::lseek(fd, 0, SEEK_SET);
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof buf)) > 0) report.append(buf, n);
+    ::close(fd);
+    ::unlink(path);
+    EXPECT_NE(report.find("watchdog"), std::string::npos) << report;
+    EXPECT_NE(report.find("sweep"), std::string::npos) << report;
+    // The in-flight table names the stalled spec.
+    EXPECT_NE(report.find("spec[0] no-steals"), std::string::npos) << report;
+  }
 }
 
 TEST(SweepWatchdog, QuietWhenSpecsCompleteInTime) {
   const auto family = mixed_family();
-  char path[] = "/tmp/rader_watchdog_XXXXXX";
-  const int fd = ::mkstemp(path);
-  ASSERT_GE(fd, 0);
-  SweepOptions opt;
-  opt.threads = 2;
-  opt.watchdog_ms = 60'000;  // far beyond the sweep's wall time
-  opt.watchdog_fd = fd;
-  const SweepResult result = sweep_family(fig1_factory(), family, opt);
-  EXPECT_EQ(result.spec_runs, family.size());
-  EXPECT_EQ(result.metrics.counter(metrics::Counter::kPostmortemDumps), 0u);
-  ::lseek(fd, 0, SEEK_SET);
-  char buf[8];
-  EXPECT_EQ(::read(fd, buf, sizeof buf), 0);  // nothing written
-  ::close(fd);
-  ::unlink(path);
+  for (const SweepIsolation isolation : kBackends) {
+    SCOPED_TRACE(backend_name(isolation));
+    char path[] = "/tmp/rader_watchdog_XXXXXX";
+    const int fd = ::mkstemp(path);
+    ASSERT_GE(fd, 0);
+    SweepOptions opt;
+    opt.threads = 2;
+    opt.isolation = isolation;
+    opt.watchdog_ms = 60'000;  // far beyond the sweep's wall time
+    opt.watchdog_fd = fd;
+    const SweepResult result = sweep_family(fig1_factory(), family, opt);
+    EXPECT_EQ(result.spec_runs, family.size());
+    EXPECT_EQ(result.metrics.counter(metrics::Counter::kPostmortemDumps), 0u);
+    ::lseek(fd, 0, SEEK_SET);
+    char buf[8];
+    EXPECT_EQ(::read(fd, buf, sizeof buf), 0);  // nothing written
+    ::close(fd);
+    ::unlink(path);
+  }
 }
 
 }  // namespace

@@ -185,7 +185,7 @@ TEST(EngineCheckpoint, ResumeRegeneratesViewIdentitiesAndTraceWorkers) {
   // Under tracing, steals advance the simulated-worker allocator; the
   // checkpoint records it and resume must regenerate the same stamping.
   trace::Session session;
-  trace::Scope scope(&session, "checkpoint-test");
+  obs::Scope scope(&session, "checkpoint-test");
   spec::StealAll all;
   const auto factory = detector_factories().front();
 

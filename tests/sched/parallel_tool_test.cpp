@@ -7,10 +7,8 @@
 // file runs under the TSan CI slice (ctest -L sched).
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -240,12 +238,11 @@ TEST(ParallelTool, DedupedAccessesKeepEveryStrandLocationAndKind) {
 TEST(ParallelTool, TraceBuffersSurviveEngineTeardown) {
   trace::Session session;
   {
-    TraceScope ts(&session, "main");
+    obs::Scope ts(&session, "main");
     ParallelEngine engine(4);
+    // Helpers attach their buffers as they join the run, before the root
+    // starts.
     engine.run([] { clean_program(); });
-    // Give every helper at least one idle-loop iteration inside the scope
-    // so it attaches its buffer (helpers re-check the session each loop).
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }  // engine destroyed before the scope closes
   EXPECT_GT(session.total_recorded(), 0u);
   bool saw_worker_buffer = false;

@@ -1,14 +1,19 @@
 // The hierarchical phase profiler (support/profile.hpp): tree building,
 // self-time attribution, worker-tree absorption, the collapsed-stack and
-// table renderings, and the dormant no-op guarantee.
+// table renderings, the registry phase slot, the single checks' "execute"
+// phase, and the dormant no-op guarantee.
 #include "support/profile.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+
+#include "core/driver.hpp"
+#include "runtime/api.hpp"
 
 namespace rader {
 namespace {
@@ -25,7 +30,7 @@ TEST(Profile, PhaseWithoutScopeIsANoOp) {
   { prof::Phase p("orphan"); }  // must not crash, must record nowhere
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     EXPECT_TRUE(prof::enabled());
   }
   EXPECT_TRUE(profiler.empty());
@@ -35,10 +40,10 @@ TEST(Profile, ScopesNestAndRestore) {
   prof::Profiler outer;
   prof::Profiler inner;
   {
-    prof::Scope s1(&outer);
+    obs::Scope s1(&outer);
     EXPECT_EQ(prof::current(), &outer);
     {
-      prof::Scope s2(&inner);
+      obs::Scope s2(&inner);
       EXPECT_EQ(prof::current(), &inner);
     }
     EXPECT_EQ(prof::current(), &outer);
@@ -49,7 +54,7 @@ TEST(Profile, ScopesNestAndRestore) {
 TEST(Profile, TreeBuildsByNamePathWithCounts) {
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     for (int i = 0; i < 3; ++i) {
       prof::Phase sweep("sweep");
       {
@@ -76,7 +81,7 @@ TEST(Profile, SelfTimeIsInclusiveMinusChildrenAndSumsToWallTime) {
   prof::Profiler profiler;
   const std::uint64_t wall_start = metrics::now_nanos();
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     prof::Phase outer("outer");
     spin_for_nanos(2'000'000);  // 2 ms of self time
     {
@@ -104,12 +109,12 @@ TEST(Profile, AbsorbMergesTreesByNamePath) {
   prof::Profiler w0;
   prof::Profiler w1;
   {
-    prof::Scope scope(&w0);
+    obs::Scope scope(&w0);
     prof::Phase spec("spec");
     prof::Phase detect("detect");
   }
   {
-    prof::Scope scope(&w1);
+    obs::Scope scope(&w1);
     {
       prof::Phase spec("spec");
       prof::Phase detect("detect");
@@ -118,7 +123,7 @@ TEST(Profile, AbsorbMergesTreesByNamePath) {
   }
   prof::Profiler total;
   {
-    prof::Scope scope(&total);
+    obs::Scope scope(&total);
     prof::Phase sweep("sweep");
     prof::current()->absorb(w0.root());
     prof::current()->absorb(w1.root());
@@ -140,7 +145,7 @@ TEST(Profile, AbsorbMergesTreesByNamePath) {
 TEST(Profile, CollapsedEmitsEveryPrefixExactlyOnce) {
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     prof::Phase sweep("sweep");
     {
       prof::Phase spec("spec");
@@ -178,7 +183,7 @@ TEST(Profile, CollapsedEmitsEveryPrefixExactlyOnce) {
 TEST(Profile, TableNamesEveryPhase) {
   prof::Profiler profiler;
   {
-    prof::Scope scope(&profiler);
+    obs::Scope scope(&profiler);
     prof::Phase sweep("sweep");
     prof::Phase spec("spec");
   }
@@ -189,7 +194,7 @@ TEST(Profile, TableNamesEveryPhase) {
 
 TEST(Profile, ProfilerIsPerThread) {
   prof::Profiler main_prof;
-  prof::Scope scope(&main_prof);
+  obs::Scope scope(&main_prof);
   std::thread worker([] {
     // The worker thread starts with no profiler installed even while the
     // spawning thread holds one.
@@ -198,6 +203,67 @@ TEST(Profile, ProfilerIsPerThread) {
   });
   worker.join();
   EXPECT_TRUE(main_prof.empty());
+}
+
+TEST(Profile, SlotPhaseFeedsProfilerAndRegistryFromOneClockPair) {
+  prof::Profiler profiler;
+  metrics::Registry reg;
+  {
+    obs::Scope s1(&profiler);
+    obs::Scope s2(&reg);
+    prof::Phase probe("probe", metrics::Phase::kProbe);
+    spin_for_nanos(100'000);
+  }
+  ASSERT_EQ(profiler.root().children.size(), 1u);
+  const std::uint64_t nanos = profiler.root().children[0]->total_nanos;
+  EXPECT_GE(nanos, 100'000u);
+  EXPECT_EQ(reg.snapshot().phase_nanos[static_cast<unsigned>(
+                metrics::Phase::kProbe)],
+            nanos);
+
+  // Either sink alone still gets the interval.
+  metrics::Registry alone;
+  {
+    obs::Scope scope(&alone);
+    prof::Phase merge("merge", metrics::Phase::kMerge);
+  }
+  EXPECT_EQ(alone.snapshot().counter(metrics::Counter::kSpecRuns), 0u);
+  EXPECT_GT(alone.snapshot().phase_nanos[static_cast<unsigned>(
+                metrics::Phase::kMerge)],
+            0u);
+}
+
+// Every single check opens one "execute" phase, so `rader --profile=F`
+// on a single check writes a non-empty tree and the report's
+// phase_seconds.execute covers the detector run.
+TEST(Profile, SingleChecksOpenAnExecutePhase) {
+  const auto program = [] {
+    int x = 0;
+    spawn([&] { x = 1; });
+    sync();
+    (void)x;
+  };
+  const std::function<void()> checks[] = {
+      [&] { Rader::check_view_read(program); },
+      [&] { Rader::check_spbags(program); },
+      [&] { Rader::check_determinacy(program, spec::StealAll()); },
+      [&] { Rader::check_parallel(program, 2); },
+  };
+  for (std::size_t i = 0; i < std::size(checks); ++i) {
+    prof::Profiler profiler;
+    metrics::Registry reg;
+    {
+      obs::Scope s1(&profiler);
+      obs::Scope s2(&reg);
+      checks[i]();
+    }
+    ASSERT_EQ(profiler.root().children.size(), 1u) << "check " << i;
+    EXPECT_STREQ(profiler.root().children[0]->name, "execute")
+        << "check " << i;
+    EXPECT_EQ(profiler.root().children[0]->count, 1u) << "check " << i;
+    EXPECT_GT(reg.snapshot().phase_seconds(metrics::Phase::kExecute), 0.0)
+        << "check " << i;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The execution-trace subsystem (support/trace.hpp): ring-buffer semantics,
-// scope activation/restoration, the first-conflict-per-granule filter, and
-// the dormant fast path.
+// scope activation/restoration (obs::Scope), worker attach, the
+// first-conflict-per-granule filter, and the dormant fast path.
 #include "support/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -80,7 +80,7 @@ TEST(TraceScope, ActivatesAndRestores) {
   EXPECT_EQ(session(), nullptr);
   Session s;
   {
-    Scope scope(&s, "main");
+    obs::Scope scope(&s, "main");
     EXPECT_EQ(session(), &s);
     ASSERT_TRUE(enabled());
     EXPECT_EQ(buffer()->name(), "main");
@@ -103,9 +103,9 @@ TEST(TraceScope, ActivatesAndRestores) {
 TEST(TraceScope, NestedScopesRestoreThePreviousSession) {
   Session outer_s;
   Session inner_s;
-  Scope outer(&outer_s, "outer");
+  obs::Scope outer(&outer_s, "outer");
   {
-    Scope inner(&inner_s, "inner");
+    obs::Scope inner(&inner_s, "inner");
     EXPECT_EQ(session(), &inner_s);
     emit(EventKind::kSync, 1);
   }
@@ -118,18 +118,20 @@ TEST(TraceScope, NestedScopesRestoreThePreviousSession) {
 
 TEST(TraceThreadScope, AttachesAWorkerThreadToTheSession) {
   Session s;
-  Scope scope(&s, "main");
-  std::thread worker([&] {
-    EXPECT_FALSE(enabled());  // tl_buffer is thread-local
-    ThreadScope attach(s.make_buffer("worker"));
+  obs::Scope scope(&s, "main");
+  const obs::Context parent = obs::current();
+  std::thread t([&] {
+    EXPECT_FALSE(enabled());  // the context is thread-local
+    obs::Scope attach(obs::attach(parent, nullptr, nullptr, "worker", 1));
     ASSERT_TRUE(enabled());
-    set_worker(1);
+    EXPECT_EQ(worker(), 1u);
     emit(EventKind::kRunBegin, kInvalidFrame);
   });
-  worker.join();
+  t.join();
   ASSERT_EQ(s.buffers().size(), 2u);
-  EXPECT_EQ(s.buffers()[1]->name(), "worker");
+  EXPECT_EQ(s.buffers()[1]->name(), "worker1");
   EXPECT_EQ(s.buffers()[1]->recorded(), 1u);
+  EXPECT_EQ(s.buffers()[1]->ordered()[0].worker, 1u);
 }
 
 TEST(TraceEvent, KindNamesAreStable) {

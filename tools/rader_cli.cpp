@@ -490,17 +490,14 @@ int main(int argc, char** argv) {
                  workload.input_desc.c_str());
   }
 
-  // Collect run metrics for the whole check (probe + sweep workers + merge).
+  // Collect run metrics for the whole check (probe + sweep workers +
+  // merge), and with --profile its phase tree; sweep workers fold their
+  // sinks into these at join.
   metrics::Registry reg;
-  metrics::Scope metrics_scope(&reg);
-
-  // Phase profiler for the whole check; sweep workers fold their trees in
-  // at join, so the CLI's profiler sees probe + sweep + merge.
   prof::Profiler profiler;
-  std::unique_ptr<prof::Scope> prof_scope;
-  if (!profile_path.empty()) {
-    prof_scope = std::make_unique<prof::Scope>(&profiler);
-  }
+  obs::Context obs_ctx = obs::current();
+  obs_ctx.registry = &reg;
+  if (!profile_path.empty()) obs_ctx.profiler = &profiler;
 
   // JSONL metrics time series (sweep checks only — the sampler rides the
   // sweep's monitor thread).
@@ -519,10 +516,11 @@ int main(int argc, char** argv) {
   // main thread records into the "main" buffer, sweep workers attach their
   // own "sweep-wN" buffers.
   trace::Session trace_session;
-  std::unique_ptr<TraceScope> trace_scope;
   if (!trace_path.empty()) {
-    trace_scope = std::make_unique<TraceScope>(&trace_session, "main");
+    obs_ctx.session = &trace_session;
+    obs_ctx.buffer = trace_session.make_buffer("main");
   }
+  obs::Scope obs_scope(obs_ctx);
 
   ReportMeta meta;
   meta.program = name;
@@ -631,7 +629,6 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_path.empty()) {
-    trace_scope.reset();  // detach before exporting
     bool ok = false;
     if (trace_format == "chrome") {
       ok = write_chrome_trace(trace_session, trace_path);
@@ -672,7 +669,6 @@ int main(int argc, char** argv) {
   }
 
   if (!profile_path.empty()) {
-    prof_scope.reset();  // close the scope before rendering
     std::ofstream pf(profile_path, std::ios::binary);
     pf << prof::collapsed(profiler.root());
     if (pf.good()) {
